@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .codec import Bitstream, CodecConfig, decode_sequence, encode_sequence, rate_report
 from .errors import CodecError
-from .frames import load_raw_sequence, psnr, save_frame_pgm
+from .frames import load_raw_sequence, mean_coded_psnr, save_frame_pgm
 from .synthetic import moving_square
 
 SWEEP_COLUMNS = ["sequence", "rate", "block_size", "mode", "psnr_db",
@@ -61,20 +61,6 @@ def _config(args, rate=None, block_size=None, mode=None) -> CodecConfig:
     )
 
 
-def _coded_frame_indices(frame_count: int, n: int):
-    """Indices of frames coded through mixing (everything except keys)."""
-    group = n + 1
-    gops = frame_count // group
-    return [g * group + j for g in range(gops) for j in range(1, group)]
-
-
-def _mean_coded_psnr(original, decoded, n: int) -> float:
-    idx = _coded_frame_indices(len(original), n)
-    if not idx:
-        return float("inf")
-    return sum(psnr(original[i], decoded[i]) for i in idx) / len(idx)
-
-
 def cmd_encode(args) -> int:
     frames = _load_input(args)
     config = _config(args)
@@ -113,9 +99,9 @@ def _run_point(frames, config):
     stream = encode_sequence(frames, config)
     encode_s = time.perf_counter() - t0
     t0 = time.perf_counter()
-    decoded = decode_sequence(stream, config.solver)
+    decoded = decode_sequence(stream)
     decode_s = time.perf_counter() - t0
-    mean_psnr = _mean_coded_psnr(frames, decoded, config.n)
+    mean_psnr = mean_coded_psnr(frames, decoded, config.n)
     return stream, decoded, mean_psnr, encode_s, decode_s
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,6 +36,11 @@ FLAG_Q16 = 0x02
 _HEADER = struct.Struct("<4sBBBBHHBBIQI")
 _Q16_MINMAX = struct.Struct("<ff")
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
+# Largest values the header fields can hold: gop_n is the largest perfect
+# square in a u8, block_size a u8, width and height u16.
+_MAX_GOP_N = 225
+_MAX_BLOCK_SIZE = 0xFF
+_MAX_DIM = 0xFFFF
 
 
 @dataclass
@@ -46,8 +51,6 @@ class CodecConfig:
     block_size: int = 16
     sampling_rate: float = 0.25
     seed: int = 1
-    solver: SolverParams = field(default_factory=SolverParams)
-    key_mode: str = "raw"
     measurement_format: str = "f32"
     residual_mode: bool = True
 
@@ -58,8 +61,11 @@ class CodecConfig:
             raise CodecError("invalid-sampling-rate", f"{self.sampling_rate} not in (0, 1]")
         if self.block_size < 1:
             raise CodecError("invalid-block-size", str(self.block_size))
-        if self.key_mode != "raw":
-            raise CodecError("unsupported-key-mode", self.key_mode)
+        if self.n > _MAX_GOP_N:
+            raise CodecError("header-field-overflow", f"n={self.n} exceeds {_MAX_GOP_N}")
+        if self.block_size > _MAX_BLOCK_SIZE:
+            raise CodecError("header-field-overflow",
+                             f"block size {self.block_size} exceeds {_MAX_BLOCK_SIZE}")
         if self.measurement_format not in ("f32", "q16"):
             raise CodecError("unknown-measurement-format", self.measurement_format)
 
@@ -229,6 +235,9 @@ def encode_sequence(frames, config: CodecConfig) -> Bitstream:
     if not frames:
         raise CodecError("empty-input", "no frames to encode")
     width, height = frames[0].width, frames[0].height
+    if width > _MAX_DIM or height > _MAX_DIM:
+        raise CodecError("header-field-overflow",
+                         f"{width}x{height} frames exceed {_MAX_DIM} pixels a side")
     grid = BlockGrid.for_dims(width, height, config.block_size)
     gops, trailing = segment_gops(frames, config.n)
     matrix = gen_mixing_matrix(config.seed, config.m, config.k)
@@ -273,16 +282,16 @@ def decode_sequence(stream: Bitstream, solver_params: SolverParams | None = None
     out = []
     for i in range(stream.num_gops):
         key = stream.gop_key(i)
-        recovered = [np.zeros((stream.height, stream.width)) for _ in range(n)]
+        recovered = np.zeros((n, stream.height, stream.width))
         for values, (bx, by) in zip(stream.gop_measurements(i), grid.positions()):
             mv = MeasurementVector(grid_position=(bx, by), values=values)
             block = decode_composite(matrix, mv, side, params)
-            for j, tile in enumerate(disassemble_composite(block, n)):
-                recovered[j][by * bs:(by + 1) * bs, bx * bs:(bx + 1) * bs] = tile
+            recovered[:, by * bs:(by + 1) * bs, bx * bs:(bx + 1) * bs] = \
+                disassemble_composite(block, n)
         out.append(key)
         base = 0.0 if stream.non_residual else key.pixels.astype(np.float64)
-        for j in range(n):
-            out.append(Frame(np.clip(np.rint(base + recovered[j]), 0, 255).astype(np.uint8)))
+        out.extend(Frame(np.clip(np.rint(base + r), 0, 255).astype(np.uint8))
+                   for r in recovered)
     for j in range(stream.num_trailing):
         out.append(stream.trailing_frame(j))
     return out

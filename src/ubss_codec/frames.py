@@ -200,6 +200,16 @@ def psnr(reference: Frame, test: Frame) -> float:
     return 10.0 * math.log10(255.0 * 255.0 / mse)
 
 
+def mean_coded_psnr(original, decoded, n: int) -> float:
+    """Mean PSNR over the frames coded through mixing, i.e. all but the key of each
+    group of 1 + n frames and the trailing key-only frames; +inf if there are none."""
+    group = n + 1
+    idx = [g * group + j for g in range(len(original) // group) for j in range(1, group)]
+    if not idx:
+        return math.inf
+    return sum(psnr(original[i], decoded[i]) for i in idx) / len(idx)
+
+
 def save_frame_pgm(frame: Frame, path) -> None:
     """Write a frame as binary PGM (P5), maxval 255."""
     header = f"P5\n{frame.width} {frame.height}\n255\n".encode("ascii")

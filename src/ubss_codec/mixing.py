@@ -94,16 +94,11 @@ def compute_residual(frame: Frame, key: Frame) -> ResidualFrame:
 
 @dataclass
 class CompositeBlock:
-    """n co-located blocks arranged as one square tile, the solver's image domain.
-
-    `tile_count` is the number of source blocks the composite was assembled
-    from (None for decoded composites, where the split is supplied explicitly).
-    """
+    """n co-located blocks arranged as one square tile, the solver's image domain."""
 
     side: int
     values: np.ndarray
     grid_position: tuple
-    tile_count: int | None = None
 
     def __post_init__(self):
         vals = np.array(self.values, dtype=np.float64)
@@ -124,20 +119,15 @@ class MeasurementVector:
         self.values = _locked(np.asarray(self.values, dtype=np.float64).reshape(-1))
 
 
-def tile_raster_indices(side: int, n: int):
-    """Raveled row-major indices of each of the n tiles of a side x side composite.
+def _split_blocks(raster: np.ndarray, bs: int) -> np.ndarray:
+    """(rows*bs, cols*bs) raster -> (rows*cols, bs, bs) stack in row-major grid order.
 
-    Tile j occupies tile-grid cell (j mod sqrt(n), j div sqrt(n)).
+    This is the one statement of the tile layout: viewed as (rows, bs, cols, bs),
+    block (bx, by) is [by, :, bx, :]. A t x t composite is split the same way,
+    so tile j sits at tile-grid cell (j mod t, j div t).
     """
-    if not is_perfect_square(n):
-        raise CodecError("n-not-perfect-square", f"n={n}")
-    t = math.isqrt(n)
-    if side % t:
-        raise CodecError("shape-mismatch", f"side {side} not divisible by {t}")
-    bs = side // t
-    base = np.arange(side * side).reshape(side, side)
-    return [base[(j // t) * bs:(j // t + 1) * bs, (j % t) * bs:(j % t + 1) * bs].ravel()
-            for j in range(n)]
+    rows, cols = raster.shape[0] // bs, raster.shape[1] // bs
+    return raster.reshape(rows, bs, cols, bs).swapaxes(1, 2).reshape(rows * cols, bs, bs)
 
 
 def assemble_composite(residuals, grid_position, block_size: int) -> CompositeBlock:
@@ -155,46 +145,34 @@ def assemble_composite(residuals, grid_position, block_size: int) -> CompositeBl
     if not (0 <= bx < grid.cols and 0 <= by < grid.rows):
         raise CodecError("out-of-grid",
                          f"position ({bx}, {by}) outside {grid.cols}x{grid.rows} grid")
-    t = math.isqrt(n)
-    side = t * block_size
-    values = np.empty((side, side))
-    for j, r in enumerate(residuals):
-        tx, ty = j % t, j // t
-        block = r.pixels[by * block_size:(by + 1) * block_size,
-                         bx * block_size:(bx + 1) * block_size]
-        values[ty * block_size:(ty + 1) * block_size,
-               tx * block_size:(tx + 1) * block_size] = block
-    return CompositeBlock(side=side, values=values, grid_position=(bx, by), tile_count=n)
+    t, bs = math.isqrt(n), block_size
+    tiles = np.stack([r.pixels[by * bs:(by + 1) * bs, bx * bs:(bx + 1) * bs] for r in residuals])
+    # inverse of _split_blocks on a t x t tile grid
+    values = tiles.reshape(t, t, bs, bs).swapaxes(1, 2).reshape(t * bs, t * bs)
+    return CompositeBlock(side=t * bs, values=values, grid_position=(bx, by))
 
 
-def disassemble_composite(block: CompositeBlock, n: int):
-    """Inverse of assemble_composite: split a composite back into n tiles."""
+def disassemble_composite(block: CompositeBlock, n: int) -> np.ndarray:
+    """Inverse of assemble_composite: split a composite into its (n, bs, bs) tiles."""
     if not is_perfect_square(n):
         raise CodecError("n-not-perfect-square", f"n={n}")
     t = math.isqrt(n)
     if block.side % t:
         raise CodecError("shape-mismatch", f"side {block.side} not divisible by {t}")
-    bs = block.side // t
-    return [np.array(block.values[(j // t) * bs:(j // t + 1) * bs,
-                                  (j % t) * bs:(j % t + 1) * bs])
-            for j in range(n)]
+    return _split_blocks(block.values, block.side // t)
 
 
 def mix_batch(matrix: MixingMatrix, block: CompositeBlock) -> MeasurementVector:
     """Measure a composite: matrix times the row-major vectorized block.
 
-    Accumulation runs tile by tile in index order 0..n-1 so the result matches
-    streamed accumulation bit for bit.
+    This is the reference the streamed accumulation is checked against; the two
+    sum in different orders, so they agree to rounding, not bit for bit.
     """
     if matrix.k != block.side * block.side:
         raise CodecError("shape-mismatch",
                          f"matrix k={matrix.k} vs composite side {block.side}")
-    v = block.values.ravel()
-    n = block.tile_count or 1
-    out = np.zeros(matrix.m)
-    for idx in tile_raster_indices(block.side, n):
-        out += np.ascontiguousarray(matrix.entries[:, idx]) @ v[idx]
-    return MeasurementVector(grid_position=block.grid_position, values=out)
+    return MeasurementVector(grid_position=block.grid_position,
+                             values=matrix.entries @ block.values.ravel())
 
 
 class StreamAccumulator:
@@ -214,8 +192,6 @@ class StreamAccumulator:
         self.matrix = matrix
         self.grid = grid
         self.n = n
-        side = math.isqrt(n) * grid.block_size
-        self._tile_idx = tile_raster_indices(side, n)
         self.partial = np.zeros((grid.num_blocks, matrix.m))
         self.frames_pushed = 0
         self._finished = False
@@ -231,14 +207,12 @@ class StreamAccumulator:
         if (residual.height, residual.width) != (self.grid.rows * bs, self.grid.cols * bs):
             raise CodecError("dimension-mismatch",
                              f"residual {residual.width}x{residual.height} does not match grid")
-        sub = np.ascontiguousarray(self.matrix.entries[:, self._tile_idx[frame_index_in_group]])
-        px = residual.pixels.astype(np.float64)
-        i = 0
-        for by in range(self.grid.rows):
-            for bx in range(self.grid.cols):
-                vec = px[by * bs:(by + 1) * bs, bx * bs:(bx + 1) * bs].ravel()
-                self.partial[i] += sub @ vec
-                i += 1
+        m, t = self.matrix.m, math.isqrt(self.n)
+        ty, tx = divmod(frame_index_in_group, t)
+        # columns of A that multiply tile (tx, ty) of the composite
+        sub = self.matrix.entries.reshape(m, t, bs, t, bs)[:, ty, :, tx, :].reshape(m, bs * bs)
+        blocks = _split_blocks(residual.pixels, bs).reshape(self.grid.num_blocks, bs * bs)
+        self.partial += blocks.astype(np.float64) @ sub.T
         self.frames_pushed += 1
 
     def finish(self):

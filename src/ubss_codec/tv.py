@@ -51,8 +51,6 @@ class SolverParams:
     outer_tol: float = 1e-4
     max_outer: int = 300
     max_inner: int = 5
-    boundary: str = "replicate"
-    tv_flavor: str = "isotropic"
 
     def __post_init__(self):
         if self.mu <= 0 or self.beta <= 0:
@@ -61,10 +59,6 @@ class SolverParams:
             raise CodecError("invalid-solver-params", "outer_tol must be positive")
         if self.max_outer < 1 or self.max_inner < 0:
             raise CodecError("invalid-solver-params", "iteration caps out of range")
-        if self.boundary != "replicate":
-            raise CodecError("invalid-solver-params", f"unsupported boundary {self.boundary!r}")
-        if self.tv_flavor != "isotropic":
-            raise CodecError("invalid-solver-params", f"unsupported tv_flavor {self.tv_flavor!r}")
 
 
 @dataclass
@@ -79,14 +73,6 @@ class GradientField:
         self.dy = np.asarray(self.dy, dtype=np.float64)
         if self.dx.shape != self.dy.shape:
             raise CodecError("shape-mismatch", f"dx {self.dx.shape} vs dy {self.dy.shape}")
-
-
-@dataclass
-class MultiplierState:
-    """Lagrange multipliers: nu for the gradient split, lam for the measurements."""
-
-    nu: GradientField
-    lam: np.ndarray
 
 
 @dataclass
@@ -134,15 +120,20 @@ def divergence_adjoint(g: GradientField) -> np.ndarray:
     return _dadj(g.dx, g.dy)
 
 
+def _shrink(vx, vy, t):
+    mag = np.hypot(vx, vy)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.maximum(mag - t, 0.0) / mag
+    scale[mag == 0.0] = 0.0
+    return vx * scale, vy * scale
+
+
 def shrink2(v: GradientField, t: float) -> GradientField:
     """Isotropic two-vector shrinkage: w = max(|v| - t, 0) * v/|v|, 0 at |v| = 0."""
     if t < 0:
         raise CodecError("negative-threshold", f"t={t}")
-    mag = np.hypot(v.dx, v.dy)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.maximum(mag - t, 0.0) / mag
-    scale[mag == 0.0] = 0.0
-    return GradientField(dx=v.dx * scale, dy=v.dy * scale)
+    dx, dy = _shrink(v.dx, v.dy, t)
+    return GradientField(dx=dx, dy=dy)
 
 
 def tv_norm(u: np.ndarray) -> float:
@@ -231,20 +222,20 @@ def solve_tv(matrix: MixingMatrix, b: MeasurementVector, side: int,
     At = A.T
     u = (At @ bvec).reshape(side, side)
     Au = A @ u.ravel()
-    mult = MultiplierState(
-        nu=GradientField(np.zeros((side, side)), np.zeros((side, side))),
-        lam=np.zeros(matrix.m))
+    # Lagrange multipliers: nu for the gradient split, lam for the measurements
+    nux = np.zeros((side, side))
+    nuy = np.zeros((side, side))
+    lam = np.zeros(matrix.m)
     rel_change = 0.0
     outer = 0
     carry = (None, None)
     for outer in range(1, params.max_outer + 1):
         dx, dy = _dxdy(u)
-        nux, nuy = mult.nu.dx, mult.nu.dy
-        w = shrink2(GradientField(dx - nux / beta, dy - nuy / beta), 1.0 / beta)
+        wx, wy = _shrink(dx - nux / beta, dy - nuy / beta, 1.0 / beta)
         # residuals of the surrogate: D u - (w + nu/beta), A u - (b + lam/mu)
-        rx = dx - w.dx - nux / beta
-        ry = dy - w.dy - nuy / beta
-        rb = Au - bvec - mult.lam / mu
+        rx = dx - wx - nux / beta
+        ry = dy - wy - nuy / beta
+        rb = Au - bvec - lam / mu
         u_prev = u
         u, Au, rx, ry, carry = _minimize_surrogate(
             A, At, u, Au, rx, ry, rb, mu, beta, params.max_inner, carry)
@@ -254,8 +245,8 @@ def solve_tv(matrix: MixingMatrix, b: MeasurementVector, side: int,
         rel_change = float(np.linalg.norm(u - u_prev)) \
             / max(float(np.linalg.norm(u_prev)), _REL_FLOOR)
         # rx tracks D u - w - nu/beta, so nu - beta (D u - w) collapses to -beta rx
-        mult.nu = GradientField(-beta * rx, -beta * ry)
-        mult.lam = mult.lam - mu * (Au - bvec)
+        nux, nuy = -beta * rx, -beta * ry
+        lam = lam - mu * (Au - bvec)
         if rel_change < params.outer_tol:
             break
     return SolverResult(
@@ -270,5 +261,4 @@ def decode_composite(matrix: MixingMatrix, b: MeasurementVector, side: int,
                      params: SolverParams | None = None) -> CompositeBlock:
     """Recover a composite block; residual-domain values are left unclamped."""
     result = solve_tv(matrix, b, side, params)
-    return CompositeBlock(side=side, values=result.u,
-                          grid_position=b.grid_position, tile_count=None)
+    return CompositeBlock(side=side, values=result.u, grid_position=b.grid_position)

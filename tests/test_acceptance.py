@@ -15,7 +15,8 @@ from ubss_codec import (BlockGrid, Bitstream, CodecConfig, Frame,
                         ResidualFrame, SolverParams, StreamAccumulator,
                         assemble_composite, decode_sequence, divergence_adjoint,
                         encode_sequence, forward_diff, gen_mixing_matrix,
-                        mix_batch, moving_square, psnr, shrink2, solve_tv)
+                        mean_coded_psnr, mix_batch, moving_square, shrink2,
+                        solve_tv)
 
 from reference_tv import psnr_vs, tv_subgradient_reference, piecewise_constant_image
 
@@ -26,16 +27,6 @@ GOP_N = 4
 def _report(num, name, ok, detail):
     print(f"acceptance {num} ({name}): {'PASS' if ok else 'FAIL'} [{detail}]")
     assert ok, f"criterion {num} ({name}): {detail}"
-
-
-def _coded_indices(count, n=GOP_N):
-    group = n + 1
-    return [g * group + j for g in range(count // group) for j in range(1, group)]
-
-
-def _mean_coded_psnr(original, decoded):
-    idx = _coded_indices(len(original))
-    return sum(psnr(original[i], decoded[i]) for i in idx) / len(idx)
 
 
 def _run_codec(frames, rate, residual=True, block_size=16, seed=1,
@@ -77,8 +68,8 @@ def test_criterion_2_residual_mixing_advantage():
     t0 = time.perf_counter()
     _, dec_res, _, _ = _run_codec(SEQ, 0.3, residual=True)
     _, dec_raw, _, _ = _run_codec(SEQ, 0.3, residual=False)
-    p_res = _mean_coded_psnr(SEQ, dec_res)
-    p_raw = _mean_coded_psnr(SEQ, dec_raw)
+    p_res = mean_coded_psnr(SEQ, dec_res, GOP_N)
+    p_raw = mean_coded_psnr(SEQ, dec_raw, GOP_N)
     elapsed = time.perf_counter() - t0
     _report(2, "residual mixing advantage",
             p_res >= p_raw + 5.0 and elapsed < 180.0,
@@ -91,7 +82,7 @@ def test_criterion_3_block_size_trend():
     decode_time = {}
     for bs in (4, 8, 16):
         _, decoded, _, decode_s = _run_codec(SEQ, 0.25, block_size=bs)
-        quality[2 * bs] = _mean_coded_psnr(SEQ, decoded)
+        quality[2 * bs] = mean_coded_psnr(SEQ, decoded, GOP_N)
         decode_time[2 * bs] = decode_s
     elapsed = time.perf_counter() - t0
     increasing = quality[8] < quality[16] < quality[32]
@@ -109,7 +100,7 @@ def test_criterion_4_rate_distortion_monotonicity():
     values = []
     for rate in rates:
         _, decoded, _, _ = _run_codec(SEQ, rate)
-        values.append(_mean_coded_psnr(SEQ, decoded))
+        values.append(mean_coded_psnr(SEQ, decoded, GOP_N))
     elapsed = time.perf_counter() - t0
     monotone = all(values[i + 1] >= values[i] - 0.5 for i in range(len(values) - 1))
     pretty = "/".join("inf" if v == np.inf else f"{v:.2f}" for v in values)
@@ -238,7 +229,7 @@ def test_criterion_8_round_trip_and_container_integrity():
     stream = encode_sequence(noisy, CodecConfig(sampling_rate=1.0, block_size=8, seed=12))
     strong = SolverParams(mu=2.0 ** 12, max_inner=20, max_outer=1500, outer_tol=1e-10)
     decoded = decode_sequence(stream, strong)
-    rt = _mean_coded_psnr(noisy, decoded)
+    rt = mean_coded_psnr(noisy, decoded, GOP_N)
     checks.append(("full-sampling-roundtrip", rt >= 50.0))
 
     # container round trip is byte-lossless, encoding byte-deterministic

@@ -59,6 +59,14 @@ def test_encode_runtime_error_exits_one(tmp_path, capsys):
     assert "io-failure" in capsys.readouterr().err
 
 
+def test_encode_config_beyond_header_exits_one(tmp_path, capsys):
+    raw = _write_static_gray8(tmp_path / "in.gray")
+    rc = main(_encode_args(raw, tmp_path / "o.ubs", extra=("--gop-n", "256", "--block-size", "1")))
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: header-field-overflow")
+
+
 def test_decode_writes_zero_padded_pgms(tmp_path, capsys):
     raw = _write_static_gray8(tmp_path / "in.gray")
     stream_path = tmp_path / "s.ubs"

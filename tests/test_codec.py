@@ -26,8 +26,11 @@ def test_config_validation():
         CodecConfig(sampling_rate=1.5)
     with pytest.raises(CodecError):
         CodecConfig(measurement_format="f64")
-    with pytest.raises(CodecError):
-        CodecConfig(key_mode="jpeg")
+    # n and block size must fit their u8 header fields
+    for n, bs in ((256, 1), (1, 256)):
+        with pytest.raises(CodecError) as e:
+            CodecConfig(n=n, block_size=bs)
+        assert e.value.code == "header-field-overflow"
 
 
 def test_measurements_per_block_rounding():
@@ -50,6 +53,18 @@ def test_encode_requires_divisible_dims():
     with pytest.raises(CodecError) as e:
         encode_sequence(frames, CodecConfig(block_size=16))
     assert e.value.code == "dimension-not-divisible"
+
+
+def test_encode_rejects_dims_beyond_header(monkeypatch):
+    # width and height are u16 header fields; refused before the matrix is built
+    def no_matrix(*args):
+        raise AssertionError("gen_mixing_matrix called")
+
+    monkeypatch.setattr(codec_mod, "gen_mixing_matrix", no_matrix)
+    for h, w in ((1, 65536), (65536, 1)):
+        with pytest.raises(CodecError) as e:
+            encode_sequence([Frame(np.zeros((h, w), np.uint8))], CodecConfig(n=1, block_size=1))
+        assert e.value.code == "header-field-overflow"
 
 
 def test_structure_two_gops():

@@ -86,7 +86,7 @@ def _const_residuals(values, h=32, w=32):
 
 def test_composite_side():
     block = assemble_composite(_const_residuals([0, 0, 0, 0]), (0, 0), 16)
-    assert block.side == 32 and block.tile_count == 4
+    assert block.side == 32 and block.values.shape == (32, 32)
 
 
 def test_composite_zero_propagation():
@@ -197,17 +197,19 @@ def test_stream_zero_group():
 
 
 def test_stream_equals_batch():
+    # n = 1 and 9 check push's choice of tile columns beyond the 2x2 layout
     rng = np.random.default_rng(10)
-    matrix = gen_mixing_matrix(77, 256, 1024)
-    grid = BlockGrid.for_dims(64, 48, 16)
-    residuals = _random_group(rng)
-    acc = StreamAccumulator(matrix, grid, 4)
-    for j, res in enumerate(residuals):
-        acc.push(res, j)
-    streamed = acc.finish()
-    for mv, (bx, by) in zip(streamed, grid.positions()):
-        batch = mix_batch(matrix, assemble_composite(residuals, (bx, by), 16))
-        assert np.max(np.abs(mv.values - batch.values)) <= 1e-9
+    for n, bs, m in ((4, 16, 256), (1, 4, 8), (9, 4, 36)):
+        matrix = gen_mixing_matrix(77, m, n * bs * bs)
+        grid = BlockGrid.for_dims(64, 48, bs)
+        residuals = _random_group(rng, n=n)
+        acc = StreamAccumulator(matrix, grid, n)
+        for j, res in enumerate(residuals):
+            acc.push(res, j)
+        streamed = acc.finish()
+        for mv, (bx, by) in zip(streamed, grid.positions()):
+            batch = mix_batch(matrix, assemble_composite(residuals, (bx, by), bs))
+            assert np.max(np.abs(mv.values - batch.values)) <= 1e-9
 
 
 def test_stream_out_of_order():

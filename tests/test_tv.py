@@ -301,8 +301,6 @@ def test_solver_params_validation():
         SolverParams(mu=0.0)
     with pytest.raises(CodecError):
         SolverParams(outer_tol=0.0)
-    with pytest.raises(CodecError):
-        SolverParams(boundary="wrap")
 
 
 # --- decode_composite -------------------------------------------------------
