@@ -37,10 +37,21 @@ _HEADER = struct.Struct("<4sBBBBHHBBIQI")
 _Q16_MINMAX = struct.Struct("<ff")
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
 # Largest values the header fields can hold: gop_n is the largest perfect
-# square in a u8, block_size a u8, width and height u16.
+# square in a u8, block_size and generator-ID u8s, width and height u16,
+# frame_count and m_per_block u32.
 _MAX_GOP_N = 225
-_MAX_BLOCK_SIZE = 0xFF
+_MAX_U8 = 0xFF
 _MAX_DIM = 0xFFFF
+_MAX_U32 = 0xFFFFFFFF
+# Largest m x k float64 mixing matrix the encoder builds or the decoder
+# regenerates from a header: 256 MiB, 32 times the 8 MiB of k = 1024 at rate 1.
+MAX_MATRIX_BYTES = 256 * 2 ** 20
+
+
+def _check_matrix_size(m: int, k: int) -> None:
+    if m * k * 8 > MAX_MATRIX_BYTES:
+        raise CodecError("resource-limit",
+                         f"{m}x{k} mixing matrix exceeds {MAX_MATRIX_BYTES} bytes")
 
 
 @dataclass
@@ -63,11 +74,12 @@ class CodecConfig:
             raise CodecError("invalid-block-size", str(self.block_size))
         if self.n > _MAX_GOP_N:
             raise CodecError("header-field-overflow", f"n={self.n} exceeds {_MAX_GOP_N}")
-        if self.block_size > _MAX_BLOCK_SIZE:
+        if self.block_size > _MAX_U8:
             raise CodecError("header-field-overflow",
-                             f"block size {self.block_size} exceeds {_MAX_BLOCK_SIZE}")
+                             f"block size {self.block_size} exceeds {_MAX_U8}")
         if self.measurement_format not in ("f32", "q16"):
             raise CodecError("unknown-measurement-format", self.measurement_format)
+        _check_matrix_size(self.m, self.k)
 
     @property
     def k(self) -> int:
@@ -107,6 +119,13 @@ class Bitstream:
         self._validate()
 
     def _validate(self):
+        for name, limit in (("width", _MAX_DIM), ("height", _MAX_DIM),
+                            ("gop_n", _MAX_U8), ("block_size", _MAX_U8),
+                            ("frame_count", _MAX_U32), ("m_per_block", _MAX_U32),
+                            ("generator_id", _MAX_U8)):
+            value = getattr(self, name)
+            if not 0 <= value <= limit:
+                raise CodecError("header-field-overflow", f"{name}={value} outside [0, {limit}]")
         if self.width < 1 or self.height < 1:
             raise CodecError("invalid-header", f"dimensions {self.width}x{self.height}")
         if not is_perfect_square(self.gop_n):
@@ -118,6 +137,7 @@ class Bitstream:
             raise CodecError("invalid-header", "frame_count is zero")
         if not (1 <= self.m_per_block <= self.k):
             raise CodecError("invalid-header", f"m={self.m_per_block} outside [1, {self.k}]")
+        _check_matrix_size(self.m_per_block, self.k)
         expected = self.num_gops * self._gop_bytes() + self.num_trailing * self.width * self.height
         if len(self.payload) < expected:
             raise CodecError("truncated-payload",
@@ -125,6 +145,8 @@ class Bitstream:
         if len(self.payload) > expected:
             raise CodecError("trailing-garbage",
                              f"payload {len(self.payload)} bytes, expected {expected}")
+        for i in range(self.num_gops):
+            self._check_finite(i)
 
     # -- derived geometry -------------------------------------------------
 
@@ -154,6 +176,24 @@ class Bitstream:
 
     def _gop_bytes(self) -> int:
         return self.width * self.height + self.grid.num_blocks * self._block_bytes()
+
+    def _check_finite(self, i: int):
+        """Refuse NaN or inf in GOP i's f32 values or q16 (min, max), or min > max.
+
+        Reads the records in place as float32: an f32 GOP is summed in float64,
+        which no run of finite float32 can overflow, so no copy is made.
+        """
+        off = i * self._gop_bytes() + self.width * self.height
+        count = self.grid.num_blocks
+        if not self.q16:
+            values = np.frombuffer(self.payload, "<f4", count * self.m_per_block, off)
+            ok = math.isfinite(values.sum(dtype=np.float64))
+        else:
+            lo_hi = np.ndarray((count, 2), "<f4", self.payload, off, (self._block_bytes(), 4))
+            ok = bool(np.isfinite(lo_hi).all() and (lo_hi[:, 0] <= lo_hi[:, 1]).all())
+        if not ok:
+            raise CodecError("non-finite-value",
+                             f"GOP {i} holds a non-finite measurement or an inverted q16 range")
 
     # -- payload access ----------------------------------------------------
 

@@ -26,7 +26,13 @@ def is_perfect_square(n: int) -> bool:
 
 
 class Frame:
-    """Single 8-bit luma raster, row-major. Immutable after construction."""
+    """Single 8-bit luma raster, row-major. Immutable after construction.
+
+    Samples must be whole numbers in [0, 255]. Float input is accepted when
+    every sample is integral (np.rint output, say); a fractional or NaN sample
+    is refused with CodecError("non-integral-sample") rather than truncated,
+    and one outside [0, 255], inf included, with "sample-out-of-range".
+    """
 
     __slots__ = ("pixels", "__weakref__")
 
@@ -39,6 +45,8 @@ class Frame:
         else:
             if np.any(arr < 0) or np.any(arr > 255):
                 raise CodecError("sample-out-of-range", "luma samples must lie in [0, 255]")
+            if arr.dtype.kind == "f" and not np.all(arr == np.rint(arr)):
+                raise CodecError("non-integral-sample", "luma samples must be whole numbers")
             arr = arr.astype(np.uint8)
         self.pixels = _locked(arr)
 

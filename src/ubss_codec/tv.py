@@ -10,9 +10,17 @@ constraint, alternating three steps per outer iteration:
    Q(u) = beta/2 ||D u - w - nu/beta||^2 + mu/2 ||A u - b - lambda/mu||^2;
 3. multiplier updates nu <- nu - beta (D u - w), lambda <- lambda - mu (A u - b).
 
-Because Q is quadratic, its value along the descent ray is evaluated in closed
-form and the residuals are updated incrementally, so each inner step costs two
-matrix products regardless of how often the safeguard backtracks.
+forward_diff and divergence_adjoint state D and D^T for any raster as O(HW)
+slice stencils. Inside the solver, where a raster is one composite, D is the
+1-D forward-difference matrix B of _diff_matrix: _D(u, B) = (u B^T, B u) and
+_Dt((gx, gy), B) = gx B + B^T gy; on finite input _D equals forward_diff bit
+for bit. Q has the constant Hessian H = beta D^T D + mu A^T A, with
+D^T D g = g L + L g for L = B^T B. Each inner step takes one product H g (two
+products with A and two side x side products with L; the last step of a u-step
+skips the product with A^T, as its new gradient is never read); the gradient
+moves by -alpha H g and Q's value along the ray is evaluated in closed form,
+however often the safeguard backtracks. D u is taken once per outer iteration,
+for the multiplier update and the next shrinkage.
 
 The solver is fully deterministic: no randomized steps, fixed summation order.
 """
@@ -36,6 +44,8 @@ _NONMONOTONE_WINDOW = 5
 _MAX_BACKTRACKS = 30
 _ALPHA_MIN = 1e-14
 _ALPHA_MAX = 1e14
+# Smallest positive double: as a floor on |v| it only ever replaces |v| = 0.
+_MAG_FLOOR = math.ulp(0.0)
 
 
 @dataclass
@@ -83,23 +93,25 @@ class SolverResult:
     final_rel_change: float
 
 
-def _dxdy(u):
-    dx = np.zeros_like(u)
-    dy = np.zeros_like(u)
-    dx[:, :-1] = u[:, 1:]
-    dx[:, :-1] -= u[:, :-1]
-    dy[:-1, :] = u[1:, :]
-    dy[:-1, :] -= u[:-1, :]
-    return dx, dy
+def _diff_matrix(n: int) -> np.ndarray:
+    """The n x n forward-difference matrix B: (B x)_i = x_(i+1) - x_i, last row 0."""
+    B = np.eye(n, k=1) - np.eye(n)
+    B[-1, -1] = 0.0
+    return B
 
 
-def _dadj(gx, gy):
-    out = np.zeros_like(gx)
-    out[:, :-1] -= gx[:, :-1]
-    out[:, 1:] += gx[:, :-1]
-    out[:-1, :] -= gy[:-1, :]
-    out[1:, :] += gy[:-1, :]
-    return out
+def _D(u, B):
+    """D u of a square raster as the stacked field (dx, dy), with B = _diff_matrix(side).
+
+    Each entry sums one +1 and one -1 term with exact zeros, so on finite
+    input it equals forward_diff bit for bit.
+    """
+    return np.stack((u @ B.T, B @ u))
+
+
+def _Dt(r, B):
+    """D^T of the stacked field r = (rx, ry), the matrix form of divergence_adjoint."""
+    return r[0] @ B + B.T @ r[1]
 
 
 def forward_diff(u: np.ndarray) -> GradientField:
@@ -107,7 +119,10 @@ def forward_diff(u: np.ndarray) -> GradientField:
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 2 or u.size == 0:
         raise CodecError("shape-mismatch", f"expected nonempty 2-D raster, got {u.shape}")
-    dx, dy = _dxdy(u)
+    dx = np.zeros_like(u)
+    dy = np.zeros_like(u)
+    dx[:, :-1] = u[:, 1:] - u[:, :-1]
+    dy[:-1, :] = u[1:, :] - u[:-1, :]
     return GradientField(dx=dx, dy=dy)
 
 
@@ -117,23 +132,26 @@ def divergence_adjoint(g: GradientField) -> np.ndarray:
     Equals the negative divergence of g under the replicate boundary; the dead
     last column of dx / last row of dy never contribute.
     """
-    return _dadj(g.dx, g.dy)
+    out = np.zeros_like(g.dx)
+    out[:, :-1] -= g.dx[:, :-1]
+    out[:, 1:] += g.dx[:, :-1]
+    out[:-1, :] -= g.dy[:-1, :]
+    out[1:, :] += g.dy[:-1, :]
+    return out
 
 
-def _shrink(vx, vy, t):
-    mag = np.hypot(vx, vy)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.maximum(mag - t, 0.0) / mag
-    scale[mag == 0.0] = 0.0
-    return vx * scale, vy * scale
+def _shrink(v, t):
+    """Isotropic shrinkage of the stacked field v = (vx, vy) with threshold t."""
+    mag = np.hypot(v[0], v[1])
+    return v * (np.maximum(mag - t, 0.0) / np.maximum(mag, _MAG_FLOOR))
 
 
 def shrink2(v: GradientField, t: float) -> GradientField:
     """Isotropic two-vector shrinkage: w = max(|v| - t, 0) * v/|v|, 0 at |v| = 0."""
     if t < 0:
         raise CodecError("negative-threshold", f"t={t}")
-    dx, dy = _shrink(v.dx, v.dy, t)
-    return GradientField(dx=dx, dy=dy)
+    w = _shrink(np.stack((v.dx, v.dy)), t)
+    return GradientField(dx=w[0], dy=w[1])
 
 
 def tv_norm(u: np.ndarray) -> float:
@@ -142,29 +160,35 @@ def tv_norm(u: np.ndarray) -> float:
     return float(np.hypot(g.dx, g.dy).sum())
 
 
-def _minimize_surrogate(A, At, u, Au, rx, ry, rb, mu, beta, max_inner, carry):
+def _hessian_terms(A, beta_L, g):
+    """(A g, beta D^T D g) for a square raster g, with beta_L = beta B^T B.
+
+    They give the surrogate's Hessian-vector product
+    H g = beta D^T D g + mu A^T (A g), and its curvature
+    g^T H g = <g, beta D^T D g> + mu |A g|^2 without the product with A^T.
+    """
+    return A @ g.ravel(), g @ beta_L + beta_L @ g
+
+
+def _minimize_surrogate(A, beta_L, mu, u, Au, grad, q, max_inner, carry):
     """Barzilai-Borwein descent with a nonmonotone Armijo safeguard on Q(u).
 
-    Operates on the residuals rx = Dx u - cx, ry = Dy u - cy, rb = A u - cb and
-    updates them incrementally. `carry` is the (grad norm^2, curvature) pair of
-    the last accepted step; the surrogate's Hessian never changes between
-    outer iterations, so the Barzilai-Borwein ratio it encodes stays valid
-    across calls.
+    `grad` and `q` are Q's gradient and value at u; each step moves u, A u
+    and the gradient along the ray with one Hessian-vector product. The last
+    step skips its product with A^T, as its new gradient is never read.
+    `carry` is the (grad norm^2, curvature) pair of the last accepted step;
+    the surrogate's Hessian never changes between outer iterations, so the
+    Barzilai-Borwein ratio it encodes stays valid across calls.
     """
-    q = 0.5 * beta * (float(np.vdot(rx, rx)) + float(np.vdot(ry, ry))) \
-        + 0.5 * mu * float(np.vdot(rb, rb))
-    grad = beta * _dadj(rx, ry) + mu * (At @ rb).reshape(u.shape)
     history = deque([q], maxlen=_NONMONOTONE_WINDOW)
     prev_gnorm2, prev_curv = carry
 
-    for _ in range(max_inner):
+    for step in range(max_inner):
         gnorm2 = float(np.vdot(grad, grad))
         if gnorm2 == 0.0:
             break
-        Ag = A @ grad.ravel()
-        dgx, dgy = _dxdy(grad)
-        curv = beta * (float(np.vdot(dgx, dgx)) + float(np.vdot(dgy, dgy))) \
-            + mu * float(np.vdot(Ag, Ag))
+        Ag, DtDg = _hessian_terms(A, beta_L, grad)
+        curv = float(np.vdot(grad, DtDg)) + mu * float(np.vdot(Ag, Ag))
         if curv <= 0.0:
             break
         if prev_gnorm2 is not None:
@@ -186,15 +210,12 @@ def _minimize_surrogate(A, At, u, Au, rx, ry, rb, mu, beta, max_inner, carry):
             break
         u = u - alpha * grad
         Au = Au - alpha * Ag
-        rx = rx - alpha * dgx
-        ry = ry - alpha * dgy
-        rb = rb - alpha * Ag
-        grad = grad - alpha * (beta * _dadj(dgx, dgy)
-                               + mu * (At @ Ag).reshape(u.shape))
+        if step + 1 < max_inner:
+            grad = grad - alpha * (DtDg + mu * (Ag @ A).reshape(grad.shape))
         q = q_t
         prev_gnorm2, prev_curv = gnorm2, curv
         history.append(q)
-    return u, Au, rx, ry, (prev_gnorm2, prev_curv)
+    return u, Au, (prev_gnorm2, prev_curv)
 
 
 def solve_tv(matrix: MixingMatrix, b: MeasurementVector, side: int,
@@ -203,7 +224,8 @@ def solve_tv(matrix: MixingMatrix, b: MeasurementVector, side: int,
 
     The measurements are normalized to unit RMS before iterating and the
     result is scaled back, so the penalty defaults behave identically across
-    content scales and the recovery is scale-covariant.
+    content scales and the recovery is scale-covariant. All-zero measurements
+    return u = 0 at once, counted as one outer iteration.
     """
     params = params if params is not None else SolverParams()
     A = matrix.entries
@@ -212,6 +234,9 @@ def solve_tv(matrix: MixingMatrix, b: MeasurementVector, side: int,
     raw = np.asarray(b.values, dtype=np.float64)
     if raw.shape != (matrix.m,):
         raise CodecError("shape-mismatch", f"b has {raw.shape[0]} values, matrix m={matrix.m}")
+    if not raw.any():
+        return SolverResult(u=np.zeros((side, side)), outer_iterations=1,
+                            final_fidelity=0.0, final_rel_change=0.0)
     mu, beta = params.mu, params.beta
 
     scale = float(np.linalg.norm(raw)) / math.sqrt(matrix.m)
@@ -219,36 +244,39 @@ def solve_tv(matrix: MixingMatrix, b: MeasurementVector, side: int,
         scale = 1.0
     bvec = raw / scale
 
-    At = A.T
-    u = (At @ bvec).reshape(side, side)
+    B = _diff_matrix(side)
+    beta_L = beta * (B.T @ B)
+    u = (bvec @ A).reshape(side, side)
     Au = A @ u.ravel()
-    # Lagrange multipliers: nu for the gradient split, lam for the measurements
-    nux = np.zeros((side, side))
-    nuy = np.zeros((side, side))
-    lam = np.zeros(matrix.m)
+    Du = _D(u, B)
+    # Lagrange multipliers, scaled: s = nu/beta for the gradient split (dx, dy
+    # stacked like Du), l = lambda/mu for the measurements
+    s = np.zeros((2, side, side))
+    l = np.zeros(matrix.m)
     rel_change = 0.0
     outer = 0
     carry = (None, None)
     for outer in range(1, params.max_outer + 1):
-        dx, dy = _dxdy(u)
-        wx, wy = _shrink(dx - nux / beta, dy - nuy / beta, 1.0 / beta)
-        # residuals of the surrogate: D u - (w + nu/beta), A u - (b + lam/mu)
-        rx = dx - wx - nux / beta
-        ry = dy - wy - nuy / beta
-        rb = Au - bvec - lam / mu
+        v = Du - s
+        w = _shrink(v, 1.0 / beta)
+        # residuals of the surrogate: D u - (w + s), A u - (b + l)
+        r = v - w
+        rb = Au - bvec - l
+        q = 0.5 * beta * float(np.vdot(r, r)) + 0.5 * mu * float(np.vdot(rb, rb))
+        grad = beta * _Dt(r, B) + mu * (rb @ A).reshape(side, side)
         u_prev = u
-        u, Au, rx, ry, carry = _minimize_surrogate(
-            A, At, u, Au, rx, ry, rb, mu, beta, params.max_inner, carry)
+        u, Au, carry = _minimize_surrogate(
+            A, beta_L, mu, u, Au, grad, q, params.max_inner, carry)
         if not np.all(np.isfinite(u)):
             raise CodecError("non-finite-value",
                              f"solver diverged at outer iteration {outer}; reduce step or penalties")
         rel_change = float(np.linalg.norm(u - u_prev)) \
             / max(float(np.linalg.norm(u_prev)), _REL_FLOOR)
-        # rx tracks D u - w - nu/beta, so nu - beta (D u - w) collapses to -beta rx
-        nux, nuy = -beta * rx, -beta * ry
-        lam = lam - mu * (Au - bvec)
         if rel_change < params.outer_tol:
             break
+        Du = _D(u, B)
+        s = s - (Du - w)
+        l = l - (Au - bvec)
     return SolverResult(
         u=scale * u,
         outer_iterations=outer,

@@ -1,3 +1,4 @@
+import struct
 import weakref
 
 import numpy as np
@@ -7,6 +8,10 @@ import ubss_codec.codec as codec_mod
 from ubss_codec import (Bitstream, CodecConfig, CodecError, Frame,
                         SolverParams, decode_sequence, encode_sequence,
                         moving_square, psnr, rate_report)
+
+
+def _no_matrix(*args):
+    raise AssertionError("gen_mixing_matrix called")
 
 
 def _static_frames(count=5, w=32, h=32, value=17):
@@ -33,6 +38,16 @@ def test_config_validation():
         assert e.value.code == "header-field-overflow"
 
 
+def test_config_matrix_size_limit():
+    # the m x k float64 matrix may take at most MAX_MATRIX_BYTES: k = 16384
+    # allows m = 2048 exactly; one measurement more is refused
+    assert codec_mod.MAX_MATRIX_BYTES == 2048 * 16384 * 8
+    assert CodecConfig(n=16, block_size=32, sampling_rate=2048 / 16384).m == 2048
+    with pytest.raises(CodecError) as e:
+        CodecConfig(n=16, block_size=32, sampling_rate=2049 / 16384)
+    assert e.value.code == "resource-limit"
+
+
 def test_measurements_per_block_rounding():
     assert CodecConfig(sampling_rate=0.25).m == 256
     assert CodecConfig(sampling_rate=1.0).m == 1024
@@ -57,10 +72,7 @@ def test_encode_requires_divisible_dims():
 
 def test_encode_rejects_dims_beyond_header(monkeypatch):
     # width and height are u16 header fields; refused before the matrix is built
-    def no_matrix(*args):
-        raise AssertionError("gen_mixing_matrix called")
-
-    monkeypatch.setattr(codec_mod, "gen_mixing_matrix", no_matrix)
+    monkeypatch.setattr(codec_mod, "gen_mixing_matrix", _no_matrix)
     for h, w in ((1, 65536), (65536, 1)):
         with pytest.raises(CodecError) as e:
             encode_sequence([Frame(np.zeros((h, w), np.uint8))], CodecConfig(n=1, block_size=1))
@@ -119,6 +131,14 @@ def test_encoder_holds_one_residual_at_a_time(monkeypatch):
     frames = moving_square(64, 48, 10, square=16, start_x=4)
     encode_sequence(frames, CodecConfig(sampling_rate=0.25, seed=3))
     assert live["max"] == 1
+
+
+def _header_fields(**changes):
+    fields = dict(width=1, height=1, gop_n=1, block_size=1, frame_count=1, seed=1,
+                  m_per_block=1, generator_id=1, non_residual=False, q16=False,
+                  payload=b"\0")
+    fields.update(changes)
+    return fields
 
 
 # --- container --------------------------------------------------------------
@@ -181,6 +201,72 @@ def test_q16_codes_half_the_f32_bytes():
     m = f32.m_per_block
     assert f32._block_bytes() == 4 * m
     assert q16._block_bytes() - 8 == (4 * m) // 2
+
+
+def test_bitstream_rejects_fields_beyond_header():
+    Bitstream(**_header_fields()).to_bytes()
+    for name, value in (("width", 65536), ("height", 65536), ("gop_n", 256),
+                        ("block_size", 256), ("frame_count", 2 ** 32),
+                        ("m_per_block", 2 ** 32), ("generator_id", 256),
+                        ("generator_id", -1)):
+        with pytest.raises(CodecError) as e:
+            Bitstream(**_header_fields(**{name: value}))
+        assert e.value.code == "header-field-overflow", name
+
+
+def test_decode_refuses_hostile_matrix_size(monkeypatch):
+    # a 65 KB stream whose header asks for a 1000 x 225*255^2 matrix (117 GB):
+    # one trailing frame and no GOP, so the payload length check passes
+    monkeypatch.setattr(codec_mod, "gen_mixing_matrix", _no_matrix)
+    header = codec_mod._HEADER.pack(codec_mod.MAGIC, codec_mod.VERSION, 0, 1, 0,
+                                    255, 255, 225, 255, 1, 1, 1000)
+    with pytest.raises(CodecError) as e:
+        decode_sequence(Bitstream.from_bytes(header + bytes(255 * 255)))
+    assert e.value.code == "resource-limit"
+
+
+def _last_gop_writer(fmt):
+    """Encode a 2-GOP stream; return a function that writes struct (offset,
+    format, value) triples over its last GOP's measurement records."""
+    stream = encode_sequence(_static_frames(10, 32, 32), CodecConfig(
+        block_size=16, measurement_format=fmt))
+    data = stream.to_bytes()
+    start = len(data) - stream._gop_bytes() + 32 * 32
+
+    def write(*triples):
+        out = bytearray(data)
+        for offset, fmt_char, value in triples:
+            struct.pack_into("<" + fmt_char, out, start + offset, value)
+        return bytes(out)
+    return write
+
+
+def test_parse_refuses_non_finite_f32(monkeypatch):
+    write = _last_gop_writer("f32")
+    monkeypatch.setattr(codec_mod, "gen_mixing_matrix", _no_matrix)
+    last = 4 * (4 * 256 - 1)  # the last value of the GOP's 4 records
+    for offset in (0, last):
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(CodecError) as e:
+                Bitstream.from_bytes(write((offset, "f", value)))
+            assert e.value.code == "non-finite-value"
+    # the largest finite float32 still parses
+    Bitstream.from_bytes(write((last, "f", 3.4e38)))
+
+
+def test_parse_refuses_bad_q16_range(monkeypatch):
+    write = _last_gop_writer("q16")
+    monkeypatch.setattr(codec_mod, "gen_mixing_matrix", _no_matrix)
+    last = 3 * (8 + 2 * 256)  # the last of the GOP's 4 records
+    for offset in (0, last):
+        for lo, hi in ((np.nan, 1.0), (0.0, np.nan), (-np.inf, 1.0), (0.0, np.inf),
+                       (2.0, 1.0)):
+            with pytest.raises(CodecError) as e:
+                Bitstream.from_bytes(write((offset, "f", lo), (offset + 4, "f", hi)))
+            assert e.value.code == "non-finite-value", (lo, hi)
+    # min == max is a constant record
+    stream = Bitstream.from_bytes(write((last, "f", 1.0), (last + 4, "f", 1.0)))
+    assert np.all(stream.gop_measurements(1)[3] == 1.0)
 
 
 # --- rate accounting --------------------------------------------------------

@@ -16,6 +16,18 @@ def test_frame_validation():
     assert e.value.code == "dimensions-zero"
     with pytest.raises(CodecError):
         Frame(np.full((2, 2), 300))
+    # float samples must be whole numbers: refused, not truncated
+    for bad in (100.7, np.nan):
+        with pytest.raises(CodecError) as e:
+            Frame(np.array([[bad]]))
+        assert e.value.code == "non-integral-sample"
+    with pytest.raises(CodecError) as e:
+        Frame(np.array([[np.inf]]))
+    assert e.value.code == "sample-out-of-range"
+    # integral floats, e.g. rounded output, are taken as they are
+    f = Frame(np.rint(np.array([[100.4, 3.6], [0.0, 255.0]])))
+    assert f.pixels.dtype == np.uint8
+    assert f.pixels.tolist() == [[100, 4], [0, 255]]
 
 
 def test_frame_immutable():

@@ -6,6 +6,7 @@ from ubss_codec import (CodecError, CompositeBlock, GradientField,
                         decode_composite, divergence_adjoint, forward_diff,
                         gen_mixing_matrix, mix_batch, shrink2, solve_tv,
                         tv_norm)
+from ubss_codec.tv import _D, _Dt, _diff_matrix, _hessian_terms
 
 from reference_tv import psnr_vs, tv_subgradient_reference
 
@@ -58,6 +59,26 @@ def test_forward_diff_matches_dense_matrix():
         flat = D @ u.ravel()
         assert np.allclose(g.dx.ravel(), flat[:54], atol=1e-12)
         assert np.allclose(g.dy.ravel(), flat[54:], atol=1e-12)
+
+
+def test_matrix_form_of_d_equals_slice_stencil():
+    # u B^T and B u add one +1 and one -1 term to exact zeros, so they equal
+    # forward_diff's slice stencil exactly (array_equal: same bits, up to the
+    # sign of 0); the solver's D^T sums up to four terms in another order
+    rng = np.random.default_rng(9)
+    for shape in ((16, 16), (32, 32), (6, 9), (9, 6), (1, 7), (7, 1), (1, 1)):
+        h, w = shape
+        for _ in range(5):
+            u = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4)
+            g = forward_diff(u)
+            assert np.array_equal(u @ _diff_matrix(w).T, g.dx)
+            assert np.array_equal(_diff_matrix(h) @ u, g.dy)
+            if h == w:
+                B = _diff_matrix(h)
+                assert np.array_equal(_D(u, B), np.stack((g.dx, g.dy)))
+                r = rng.normal(size=(2, h, w))
+                assert np.allclose(_Dt(r, B), divergence_adjoint(GradientField(r[0], r[1])),
+                                   rtol=0, atol=1e-12)
 
 
 # --- adjoint ----------------------------------------------------------------
@@ -124,8 +145,9 @@ def test_shrink2_zero_threshold_is_identity():
 
 
 def test_shrink2_zero_vector_stays_zero():
-    w = shrink2(GradientField(np.zeros((2, 2)), np.zeros((2, 2))), 1.0)
-    assert np.all(w.dx == 0) and np.all(w.dy == 0)
+    for t in (1.0, 0.0):
+        w = shrink2(GradientField(np.zeros((2, 2)), np.zeros((2, 2))), t)
+        assert np.all(w.dx == 0) and np.all(w.dy == 0)
 
 
 def test_shrink2_negative_threshold():
@@ -212,6 +234,38 @@ def test_surrogate_gradient_matches_central_differences():
         assert np.max(np.abs(analytic.ravel() - numeric)) / scale <= 1e-5
 
 
+def test_hessian_product_matches_central_differences():
+    # Q's gradient is affine in u, so central differences of it along g give
+    # H g = (beta D^T D + mu A^T A) g up to rounding; the solver builds H g and
+    # g^T H g from the terms A g and beta D^T D g
+    rng = np.random.default_rng(6)
+    beta, mu = 2.0 ** 5, 2.0 ** 8
+    B = _diff_matrix(8)
+    for trial in range(5):
+        A = rng.normal(size=(32, 64)) / np.sqrt(32)
+        b = rng.normal(size=32) * 10
+        wx, wy = rng.normal(size=(2, 8, 8))
+        nux, nuy = rng.normal(size=(2, 8, 8))
+        lam = rng.normal(size=32)
+        u = rng.normal(size=(8, 8)) * 5
+        g = rng.normal(size=(8, 8))
+
+        def grad_q(v):
+            d = forward_diff(v)
+            return beta * divergence_adjoint(
+                GradientField(d.dx - wx - nux / beta, d.dy - wy - nuy / beta)) \
+                + mu * (A.T @ (A @ v.ravel() - b - lam / mu)).reshape(8, 8)
+
+        h = 1e-6
+        numeric = (grad_q(u + h * g) - grad_q(u - h * g)) / (2 * h)
+        Ag, DtDg = _hessian_terms(A, beta * (B.T @ B), g)
+        Hg = DtDg + mu * (Ag @ A).reshape(8, 8)
+        scale = max(1.0, np.max(np.abs(numeric)))
+        assert np.max(np.abs(Hg - numeric)) / scale <= 1e-5
+        curv = np.vdot(g, DtDg) + mu * np.vdot(Ag, Ag)
+        assert curv == pytest.approx(np.vdot(g, numeric), rel=1e-5)
+
+
 # --- solve_tv ---------------------------------------------------------------
 
 def _square_image(side=32, lo=10, hi=22, value=100.0):
@@ -231,8 +285,14 @@ def test_solve_identity_recovers_image():
 def test_solve_zero_measurements_exactly_zero():
     matrix = gen_mixing_matrix(3, 128, 1024)
     res = solve_tv(matrix, MeasurementVector((0, 0), np.zeros(128)), 32)
-    assert np.all(res.u == 0.0)
+    assert np.all(res.u == 0.0) and res.u.shape == (32, 32)
     assert res.final_fidelity == 0.0
+    assert res.outer_iterations == 1 and res.final_rel_change == 0.0
+    # all-zero b returns before A is read: with a NaN matrix the iterations
+    # would raise non-finite-value
+    nan_matrix = MixingMatrix(seed=None, m=4, k=16, entries=np.full((4, 16), np.nan))
+    res = solve_tv(nan_matrix, MeasurementVector((0, 0), np.zeros(4)), 4)
+    assert np.all(res.u == 0.0) and res.outer_iterations == 1
 
 
 def test_solve_square_at_forty_percent_sampling():
