@@ -34,7 +34,6 @@ FLAG_NON_RESIDUAL = 0x01
 FLAG_Q16 = 0x02
 
 _HEADER = struct.Struct("<4sBBBBHHBBIQI")
-_Q16_MINMAX = struct.Struct("<ff")
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
 # Largest values the header fields can hold: gop_n is the largest perfect
 # square in a u8, block_size and generator-ID u8s, width and height u16,
@@ -46,6 +45,13 @@ _MAX_U32 = 0xFFFFFFFF
 # Largest m x k float64 mixing matrix the encoder builds or the decoder
 # regenerates from a header: 256 MiB, 32 times the 8 MiB of k = 1024 at rate 1.
 MAX_MATRIX_BYTES = 256 * 2 ** 20
+
+
+def _record(m: int, q16: bool) -> np.dtype:
+    """One block position's measurement record: f32[m], or (min f32, max f32, u16[m])."""
+    if q16:
+        return np.dtype([("lo", "<f4"), ("hi", "<f4"), ("codes", "<u2", (m,))])
+    return np.dtype(("<f4", (m,)))
 
 
 def _check_matrix_size(m: int, k: int) -> None:
@@ -170,27 +176,28 @@ class Bitstream:
     def num_trailing(self) -> int:
         return self.frame_count % (self.gop_n + 1)
 
-    def _block_bytes(self) -> int:
-        m = self.m_per_block
-        return _Q16_MINMAX.size + 2 * m if self.q16 else 4 * m
-
     def _gop_bytes(self) -> int:
-        return self.width * self.height + self.grid.num_blocks * self._block_bytes()
+        record = _record(self.m_per_block, self.q16)
+        return self.width * self.height + self.grid.num_blocks * record.itemsize
+
+    def _records(self, i: int) -> np.ndarray:
+        """GOP i's measurement records, read in place, one per block position."""
+        off = i * self._gop_bytes() + self.width * self.height
+        return np.frombuffer(self.payload, _record(self.m_per_block, self.q16),
+                             self.grid.num_blocks, off)
 
     def _check_finite(self, i: int):
         """Refuse NaN or inf in GOP i's f32 values or q16 (min, max), or min > max.
 
-        Reads the records in place as float32: an f32 GOP is summed in float64,
-        which no run of finite float32 can overflow, so no copy is made.
+        An f32 GOP is summed in float64, which no run of finite float32 can
+        overflow, so no copy is made.
         """
-        off = i * self._gop_bytes() + self.width * self.height
-        count = self.grid.num_blocks
+        rec = self._records(i)
         if not self.q16:
-            values = np.frombuffer(self.payload, "<f4", count * self.m_per_block, off)
-            ok = math.isfinite(values.sum(dtype=np.float64))
+            ok = math.isfinite(rec.sum(dtype=np.float64))
         else:
-            lo_hi = np.ndarray((count, 2), "<f4", self.payload, off, (self._block_bytes(), 4))
-            ok = bool(np.isfinite(lo_hi).all() and (lo_hi[:, 0] <= lo_hi[:, 1]).all())
+            lo, hi = rec["lo"], rec["hi"]
+            ok = bool((np.isfinite(lo) & np.isfinite(hi) & (lo <= hi)).all())
         if not ok:
             raise CodecError("non-finite-value",
                              f"GOP {i} holds a non-finite measurement or an inverted q16 range")
@@ -202,15 +209,14 @@ class Bitstream:
         raster = np.frombuffer(self.payload, np.uint8, self.width * self.height, off)
         return Frame(raster.reshape(self.height, self.width))
 
-    def gop_measurements(self, i: int):
-        """Dequantized float64 measurement vectors, one per block position."""
-        off = i * self._gop_bytes() + self.width * self.height
-        step = self._block_bytes()
-        out = []
-        for _ in range(self.grid.num_blocks):
-            out.append(_parse_block(self.payload, off, self.m_per_block, self.q16))
-            off += step
-        return out
+    def gop_measurements(self, i: int) -> np.ndarray:
+        """Dequantized float64 measurements, one row per block position in grid order."""
+        rec = self._records(i)
+        if not self.q16:
+            return rec.astype(np.float64)
+        lo = rec["lo"].astype(np.float64)[:, None]
+        hi = rec["hi"].astype(np.float64)[:, None]
+        return lo + rec["codes"] * ((hi - lo) / 65535.0)
 
     def trailing_frame(self, j: int) -> Frame:
         off = self.num_gops * self._gop_bytes() + j * self.width * self.height
@@ -244,24 +250,22 @@ class Bitstream:
                    payload=data[_HEADER.size:])
 
 
-def _serialize_block(values: np.ndarray, q16: bool) -> bytes:
-    if not q16:
-        return values.astype("<f4").tobytes()
-    lo = float(np.float32(values.min()))
-    hi = float(np.float32(values.max()))
-    if hi > lo:
-        codes = np.clip(np.rint((values - lo) * (65535.0 / (hi - lo))), 0, 65535)
-    else:
-        codes = np.zeros(values.shape)
-    return _Q16_MINMAX.pack(lo, hi) + codes.astype("<u2").tobytes()
+def _pack_records(values: np.ndarray, q16: bool) -> bytes:
+    """One GOP's records from its (block positions, m) measurements.
 
-
-def _parse_block(payload: bytes, offset: int, m: int, q16: bool) -> np.ndarray:
+    q16 maps each row onto 65536 levels between its min and max, both rounded
+    to float32; a constant row is all code 0.
+    """
+    rec = np.empty(len(values), _record(values.shape[1], q16))
     if not q16:
-        return np.frombuffer(payload, "<f4", m, offset).astype(np.float64)
-    lo, hi = _Q16_MINMAX.unpack_from(payload, offset)
-    codes = np.frombuffer(payload, "<u2", m, offset + _Q16_MINMAX.size)
-    return lo + codes.astype(np.float64) * ((hi - lo) / 65535.0)
+        rec[...] = values
+        return rec.tobytes()
+    lo = values.min(axis=1).astype(np.float32).astype(np.float64)
+    hi = values.max(axis=1).astype(np.float32).astype(np.float64)
+    gain = np.divide(65535.0, hi - lo, out=np.zeros_like(lo), where=hi > lo)
+    rec["lo"], rec["hi"] = lo, hi
+    rec["codes"] = np.clip(np.rint((values - lo[:, None]) * gain[:, None]), 0, 65535)
+    return rec.tobytes()
 
 
 def _raw_as_residual(frame: Frame) -> ResidualFrame:
@@ -280,7 +284,7 @@ def encode_sequence(frames, config: CodecConfig) -> Bitstream:
                          f"{width}x{height} frames exceed {_MAX_DIM} pixels a side")
     grid = BlockGrid.for_dims(width, height, config.block_size)
     gops, trailing = segment_gops(frames, config.n)
-    matrix = gen_mixing_matrix(config.seed, config.m, config.k)
+    matrix = gen_mixing_matrix(config.seed, config.m, config.k) if gops else None
     q16 = config.measurement_format == "q16"
 
     payload = bytearray()
@@ -295,8 +299,7 @@ def encode_sequence(frames, config: CodecConfig) -> Bitstream:
             acc.push(residual, j)
             # streamed-memory contract: never hold more than the current residual
             del residual
-        for mv in acc.finish():
-            payload += _serialize_block(mv.values, q16)
+        payload += _pack_records(np.stack([mv.values for mv in acc.finish()]), q16)
     for f in trailing:
         payload += f.pixels.tobytes()
 
@@ -313,7 +316,8 @@ def decode_sequence(stream: Bitstream, solver_params: SolverParams | None = None
     if stream.generator_id != GENERATOR_SPLITMIX64_BOXMULLER:
         raise CodecError("unknown-generator", f"generator id {stream.generator_id}")
     params = solver_params if solver_params is not None else SolverParams()
-    matrix = gen_mixing_matrix(stream.seed, stream.m_per_block, stream.k)
+    matrix = gen_mixing_matrix(stream.seed, stream.m_per_block, stream.k) \
+        if stream.num_gops else None
     grid = stream.grid
     side = stream.composite_side
     bs = stream.block_size
@@ -328,6 +332,7 @@ def decode_sequence(stream: Bitstream, solver_params: SolverParams | None = None
             block = decode_composite(matrix, mv, side, params)
             recovered[:, by * bs:(by + 1) * bs, bx * bs:(bx + 1) * bs] = \
                 disassemble_composite(block, n)
+        del values, mv  # row views that would keep the GOP's measurements alive
         out.append(key)
         base = 0.0 if stream.non_residual else key.pixels.astype(np.float64)
         out.extend(Frame(np.clip(np.rint(base + r), 0, 255).astype(np.uint8))

@@ -5,8 +5,8 @@ Lagrangian on both the gradient splitting D u = w and the measurement
 constraint, alternating three steps per outer iteration:
 
 1. w-step: per-pixel isotropic shrinkage of D u - nu/beta with threshold 1/beta;
-2. u-step: a few Barzilai-Borwein gradient steps with a nonmonotone Armijo
-   safeguard on the quadratic surrogate
+2. u-step: max_inner conjugate-gradient steps, from the current u, on the
+   quadratic surrogate
    Q(u) = beta/2 ||D u - w - nu/beta||^2 + mu/2 ||A u - b - lambda/mu||^2;
 3. multiplier updates nu <- nu - beta (D u - w), lambda <- lambda - mu (A u - b).
 
@@ -14,13 +14,15 @@ forward_diff and divergence_adjoint state D and D^T for any raster as O(HW)
 slice stencils. Inside the solver, where a raster is one composite, D is the
 1-D forward-difference matrix B of _diff_matrix: _D(u, B) = (u B^T, B u) and
 _Dt((gx, gy), B) = gx B + B^T gy; on finite input _D equals forward_diff bit
-for bit. Q has the constant Hessian H = beta D^T D + mu A^T A, with
-D^T D g = g L + L g for L = B^T B. Each inner step takes one product H g (two
-products with A and two side x side products with L; the last step of a u-step
-skips the product with A^T, as its new gradient is never read); the gradient
-moves by -alpha H g and Q's value along the ray is evaluated in closed form,
-however often the safeguard backtracks. D u is taken once per outer iteration,
-for the multiplier update and the next shrinkage.
+for bit. Q has the constant, positive semidefinite Hessian
+H = beta D^T D + mu A^T A, with D^T D g = g L + L g for L = B^T B, so each
+conjugate-gradient step (Hestenes & Stiefel 1952) is an exact line
+minimization along its direction p and needs one product H p (two products
+with A and two side x side products with L; the last step of a u-step skips
+the product with A^T, as its new residual is never read). With the gradient
+of Q taken once per outer iteration, an outer iteration makes 2 max_inner
+products with A. D u is taken once per outer iteration, for the multiplier
+update and the next shrinkage.
 
 The solver is fully deterministic: no randomized steps, fixed summation order.
 """
@@ -28,7 +30,6 @@ The solver is fully deterministic: no randomized steps, fixed summation order.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,14 +37,8 @@ import numpy as np
 from .errors import CodecError
 from .mixing import CompositeBlock, MeasurementVector, MixingMatrix
 
-# Relative-change denominator floor, Armijo slope factor, nonmonotone window
-# and backtracking limits for the u-subproblem.
+# Relative-change denominator floor.
 _REL_FLOOR = 1e-8
-_ARMIJO_C = 1e-4
-_NONMONOTONE_WINDOW = 5
-_MAX_BACKTRACKS = 30
-_ALPHA_MIN = 1e-14
-_ALPHA_MAX = 1e14
 # Smallest positive double: as a floor on |v| it only ever replaces |v| = 0.
 _MAG_FLOOR = math.ulp(0.0)
 
@@ -52,8 +47,12 @@ _MAG_FLOOR = math.ulp(0.0)
 class SolverParams:
     """Knobs of the augmented-Lagrangian TV solver.
 
-    Defaults are the values the acceptance harness runs at; they suit 8-bit
-    scale imagery.
+    mu and beta weigh the measurement and gradient constraints; the solver
+    stops when an outer iteration changes u by less than outer_tol
+    (relative) or after max_outer outer iterations, and each outer iteration
+    takes max_inner conjugate-gradient steps on the u-subproblem, one
+    Hessian-vector product apiece. Defaults are the values the acceptance
+    harness runs at; they suit 8-bit scale imagery.
     """
 
     mu: float = 2.0 ** 8
@@ -170,52 +169,29 @@ def _hessian_terms(A, beta_L, g):
     return A @ g.ravel(), g @ beta_L + beta_L @ g
 
 
-def _minimize_surrogate(A, beta_L, mu, u, Au, grad, q, max_inner, carry):
-    """Barzilai-Borwein descent with a nonmonotone Armijo safeguard on Q(u).
+def _minimize_surrogate(A, beta_L, mu, u, Au, grad, max_inner):
+    """max_inner conjugate-gradient steps on Q from u, whose gradient is `grad`.
 
-    `grad` and `q` are Q's gradient and value at u; each step moves u, A u
-    and the gradient along the ray with one Hessian-vector product. The last
-    step skips its product with A^T, as its new gradient is never read.
-    `carry` is the (grad norm^2, curvature) pair of the last accepted step;
-    the surrogate's Hessian never changes between outer iterations, so the
-    Barzilai-Borwein ratio it encodes stays valid across calls.
+    Each step moves u and A u along p by the exact minimizer
+    alpha = |r|^2 / p^T H p, where r = -grad Q(u); in exact arithmetic the
+    iterates minimize Q over the Krylov space of H and r, and Q never rises.
     """
-    history = deque([q], maxlen=_NONMONOTONE_WINDOW)
-    prev_gnorm2, prev_curv = carry
-
+    r = -grad
+    p = r
+    rr = float(np.vdot(r, r))
     for step in range(max_inner):
-        gnorm2 = float(np.vdot(grad, grad))
-        if gnorm2 == 0.0:
+        Ap, DtDp = _hessian_terms(A, beta_L, p)
+        curv = float(np.vdot(p, DtDp)) + mu * float(np.vdot(Ap, Ap))
+        if curv <= 0.0:  # p = 0 (u minimizes Q), or H p = 0
             break
-        Ag, DtDg = _hessian_terms(A, beta_L, grad)
-        curv = float(np.vdot(grad, DtDg)) + mu * float(np.vdot(Ag, Ag))
-        if curv <= 0.0:
-            break
-        if prev_gnorm2 is not None:
-            alpha = prev_gnorm2 / prev_curv  # Barzilai-Borwein: s^T s / s^T y
-        else:
-            alpha = gnorm2 / curv  # exact minimizer along -grad for the first move
-        alpha = min(max(alpha, _ALPHA_MIN), _ALPHA_MAX)
-
-        # Q along the ray is the exact quadratic q - a*|g|^2 + a^2/2 * g^T H g
-        q_ref = max(history)
-        accepted = False
-        for _bt in range(_MAX_BACKTRACKS):
-            q_t = q - alpha * gnorm2 + 0.5 * alpha * alpha * curv
-            if q_t <= q_ref - _ARMIJO_C * alpha * gnorm2:
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted:
-            break
-        u = u - alpha * grad
-        Au = Au - alpha * Ag
+        alpha = rr / curv
+        u = u + alpha * p
+        Au = Au + alpha * Ap
         if step + 1 < max_inner:
-            grad = grad - alpha * (DtDg + mu * (Ag @ A).reshape(grad.shape))
-        q = q_t
-        prev_gnorm2, prev_curv = gnorm2, curv
-        history.append(q)
-    return u, Au, (prev_gnorm2, prev_curv)
+            r = r - alpha * (DtDp + mu * (Ap @ A).reshape(p.shape))
+            rr, rr_prev = float(np.vdot(r, r)), rr
+            p = r + (rr / rr_prev) * p
+    return u, Au
 
 
 def solve_tv(matrix: MixingMatrix, b: MeasurementVector, side: int,
@@ -255,18 +231,15 @@ def solve_tv(matrix: MixingMatrix, b: MeasurementVector, side: int,
     l = np.zeros(matrix.m)
     rel_change = 0.0
     outer = 0
-    carry = (None, None)
     for outer in range(1, params.max_outer + 1):
         v = Du - s
         w = _shrink(v, 1.0 / beta)
         # residuals of the surrogate: D u - (w + s), A u - (b + l)
         r = v - w
         rb = Au - bvec - l
-        q = 0.5 * beta * float(np.vdot(r, r)) + 0.5 * mu * float(np.vdot(rb, rb))
         grad = beta * _Dt(r, B) + mu * (rb @ A).reshape(side, side)
         u_prev = u
-        u, Au, carry = _minimize_surrogate(
-            A, beta_L, mu, u, Au, grad, q, params.max_inner, carry)
+        u, Au = _minimize_surrogate(A, beta_L, mu, u, Au, grad, params.max_inner)
         if not np.all(np.isfinite(u)):
             raise CodecError("non-finite-value",
                              f"solver diverged at outer iteration {outer}; reduce step or penalties")

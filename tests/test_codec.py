@@ -79,6 +79,17 @@ def test_encode_rejects_dims_beyond_header(monkeypatch):
         assert e.value.code == "header-field-overflow"
 
 
+def test_stream_without_gop_builds_no_matrix(monkeypatch):
+    # 4 frames at n = 4 are all trailing key frames: the 2048 x 4096 matrix
+    # (64 MiB) of block 32 at rate 0.5 is needed by neither side
+    monkeypatch.setattr(codec_mod, "gen_mixing_matrix", _no_matrix)
+    frames = moving_square(64, 64, 4, square=12)
+    stream = encode_sequence(frames, CodecConfig(n=4, block_size=32, sampling_rate=0.5))
+    assert stream.num_gops == 0 and stream.num_trailing == 4
+    decoded = decode_sequence(Bitstream.from_bytes(stream.to_bytes()))
+    assert [f.pixels.tobytes() for f in decoded] == [f.pixels.tobytes() for f in frames]
+
+
 def test_structure_two_gops():
     stream = encode_sequence(_static_frames(10), CodecConfig(block_size=16))
     assert stream.num_gops == 2 and stream.num_trailing == 0
@@ -199,8 +210,12 @@ def test_q16_codes_half_the_f32_bytes():
     f32 = encode_sequence(frames, CodecConfig(measurement_format="f32"))
     q16 = encode_sequence(frames, CodecConfig(measurement_format="q16"))
     m = f32.m_per_block
-    assert f32._block_bytes() == 4 * m
-    assert q16._block_bytes() - 8 == (4 * m) // 2
+    # one GOP and no trailing frame: the key, then one record per block position
+    assert f32.num_gops == 1 and f32.num_trailing == 0
+    blocks = f32.grid.num_blocks
+    key_bytes = f32.width * f32.height
+    assert len(f32.payload) - key_bytes == blocks * 4 * m
+    assert len(q16.payload) - key_bytes - blocks * 8 == blocks * (4 * m) // 2
 
 
 def test_bitstream_rejects_fields_beyond_header():

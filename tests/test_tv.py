@@ -6,7 +6,8 @@ from ubss_codec import (CodecError, CompositeBlock, GradientField,
                         decode_composite, divergence_adjoint, forward_diff,
                         gen_mixing_matrix, mix_batch, shrink2, solve_tv,
                         tv_norm)
-from ubss_codec.tv import _D, _Dt, _diff_matrix, _hessian_terms
+from ubss_codec.tv import (_D, _Dt, _diff_matrix, _hessian_terms,
+                           _minimize_surrogate)
 
 from reference_tv import psnr_vs, tv_subgradient_reference
 
@@ -264,6 +265,55 @@ def test_hessian_product_matches_central_differences():
         assert np.max(np.abs(Hg - numeric)) / scale <= 1e-5
         curv = np.vdot(g, DtDg) + mu * np.vdot(Ag, Ag)
         assert curv == pytest.approx(np.vdot(g, numeric), rel=1e-5)
+
+
+def _tiny_surrogate(seed):
+    """A side-4 instance of the u-step: (A, beta_L, mu, u0, Q, grad Q).
+
+    Q(u) = beta/2 |D u - w - s|^2 + mu/2 |A u - b - l|^2 with a Gaussian
+    8 x 16 matrix; w, s and b, l enter Q only as the sums w + s and b + l,
+    which are drawn at random.
+    """
+    rng = np.random.default_rng(seed)
+    beta, mu = 2.0 ** 5, 2.0 ** 8
+    B = _diff_matrix(4)
+    A = rng.normal(size=(8, 16)) / np.sqrt(8)
+    ws = rng.normal(size=(2, 4, 4))
+    bl = rng.normal(size=8)
+
+    def q(u):
+        r, rb = _D(u, B) - ws, A @ u.ravel() - bl
+        return 0.5 * beta * np.vdot(r, r) + 0.5 * mu * np.vdot(rb, rb)
+
+    def grad(u):
+        return beta * _Dt(_D(u, B) - ws, B) \
+            + mu * (A.T @ (A @ u.ravel() - bl)).reshape(4, 4)
+
+    return A, beta * (B.T @ B), mu, rng.normal(size=(4, 4)), q, grad
+
+
+def test_u_step_never_raises_q():
+    # the first j steps do not depend on max_inner, so max_inner = j gives
+    # the j-th iterate
+    for seed in range(5):
+        A, beta_L, mu, u0, q, grad = _tiny_surrogate(seed)
+        values = []
+        for j in range(33):
+            u, Au = _minimize_surrogate(A, beta_L, mu, u0, A @ u0.ravel(), grad(u0), j)
+            assert np.allclose(Au, A @ u.ravel(), rtol=0, atol=1e-9)
+            values.append(q(u))
+        assert all(b <= a * (1 + 1e-12) for a, b in zip(values, values[1:]))
+        assert values[-1] < values[0]
+
+
+def test_u_step_lands_on_q_minimizer():
+    # conjugate gradient ends on the minimizer of a k-dimensional quadratic
+    # within k steps in exact arithmetic; 2k steps absorb the rounding
+    for seed in range(5):
+        A, beta_L, mu, u0, q, grad = _tiny_surrogate(seed)
+        g0 = grad(u0)
+        u, _ = _minimize_surrogate(A, beta_L, mu, u0, A @ u0.ravel(), g0, 32)
+        assert np.linalg.norm(grad(u)) < 1e-6 * np.linalg.norm(g0)
 
 
 # --- solve_tv ---------------------------------------------------------------
