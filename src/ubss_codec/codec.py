@@ -45,6 +45,13 @@ _MAX_U32 = 0xFFFFFFFF
 # Largest m x k float64 mixing matrix the encoder builds or the decoder
 # regenerates from a header: 256 MiB, 32 times the 8 MiB of k = 1024 at rate 1.
 MAX_MATRIX_BYTES = 256 * 2 ** 20
+# Largest composite side, sqrt(gop_n) * block_size, a config or header may ask
+# for: the decoder's TV u-step takes an eigendecomposition and dense products
+# of side x side matrices, which MAX_MATRIX_BYTES does not bound. 128 is the
+# side of n = 16 at block 32, the largest any test builds. The u-step's other
+# state, an (m+1) x (m+1) float64 matrix, takes at most (m+1)^2 * 8 bytes:
+# since m <= k, about the matrix's own bytes.
+MAX_COMPOSITE_SIDE = 128
 
 
 def _record(m: int, q16: bool) -> np.dtype:
@@ -54,7 +61,13 @@ def _record(m: int, q16: bool) -> np.dtype:
     return np.dtype(("<f4", (m,)))
 
 
-def _check_matrix_size(m: int, k: int) -> None:
+def _check_decoder_work(m: int, gop_n: int, block_size: int) -> None:
+    """Refuse a composite side or mixing matrix beyond MAX_COMPOSITE_SIDE or MAX_MATRIX_BYTES."""
+    side = math.isqrt(gop_n) * block_size
+    if side > MAX_COMPOSITE_SIDE:
+        raise CodecError("resource-limit",
+                         f"composite side {side} exceeds {MAX_COMPOSITE_SIDE}")
+    k = gop_n * block_size * block_size
     if m * k * 8 > MAX_MATRIX_BYTES:
         raise CodecError("resource-limit",
                          f"{m}x{k} mixing matrix exceeds {MAX_MATRIX_BYTES} bytes")
@@ -85,7 +98,7 @@ class CodecConfig:
                              f"block size {self.block_size} exceeds {_MAX_U8}")
         if self.measurement_format not in ("f32", "q16"):
             raise CodecError("unknown-measurement-format", self.measurement_format)
-        _check_matrix_size(self.m, self.k)
+        _check_decoder_work(self.m, self.n, self.block_size)
 
     @property
     def k(self) -> int:
@@ -143,7 +156,7 @@ class Bitstream:
             raise CodecError("invalid-header", "frame_count is zero")
         if not (1 <= self.m_per_block <= self.k):
             raise CodecError("invalid-header", f"m={self.m_per_block} outside [1, {self.k}]")
-        _check_matrix_size(self.m_per_block, self.k)
+        _check_decoder_work(self.m_per_block, self.gop_n, self.block_size)
         expected = self.num_gops * self._gop_bytes() + self.num_trailing * self.width * self.height
         if len(self.payload) < expected:
             raise CodecError("truncated-payload",

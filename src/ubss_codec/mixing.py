@@ -18,7 +18,7 @@ bitstream header.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,13 +62,17 @@ class MixingMatrix:
     """Seeded m-by-k Gaussian measurement matrix, entries N(0, 1/m).
 
     `seed` is None only for matrices that bypass the generator (the identity
-    constructor below); such matrices cannot appear in a bitstream.
+    constructor below); such matrices cannot appear in a bitstream. The
+    solver caches what it derives from the entries (the TV u-step's factors)
+    on the matrix, so it is freed with it; entries must not change after the
+    first solve.
     """
 
     seed: int | None
     m: int
     k: int
     entries: np.ndarray
+    _solver_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def identity(cls, k: int) -> "MixingMatrix":

@@ -2,11 +2,11 @@
 
 solve_tv minimizes isotropic TV(u) subject to A u = b with an augmented
 Lagrangian on both the gradient splitting D u = w and the measurement
-constraint, alternating three steps per outer iteration:
+constraint (TVAL3; Li, Yin & Zhang 2013), alternating three steps per outer
+iteration:
 
 1. w-step: per-pixel isotropic shrinkage of D u - nu/beta with threshold 1/beta;
-2. u-step: max_inner conjugate-gradient steps, from the current u, on the
-   quadratic surrogate
+2. u-step: the exact minimizer of the quadratic surrogate
    Q(u) = beta/2 ||D u - w - nu/beta||^2 + mu/2 ||A u - b - lambda/mu||^2;
 3. multiplier updates nu <- nu - beta (D u - w), lambda <- lambda - mu (A u - b).
 
@@ -14,15 +14,25 @@ forward_diff and divergence_adjoint state D and D^T for any raster as O(HW)
 slice stencils. Inside the solver, where a raster is one composite, D is the
 1-D forward-difference matrix B of _diff_matrix: _D(u, B) = (u B^T, B u) and
 _Dt((gx, gy), B) = gx B + B^T gy; on finite input _D equals forward_diff bit
-for bit. Q has the constant, positive semidefinite Hessian
-H = beta D^T D + mu A^T A, with D^T D g = g L + L g for L = B^T B, so each
-conjugate-gradient step (Hestenes & Stiefel 1952) is an exact line
-minimization along its direction p and needs one product H p (two products
-with A and two side x side products with L; the last step of a u-step skips
-the product with A^T, as its new residual is never read). With the gradient
-of Q taken once per outer iteration, an outer iteration makes 2 max_inner
-products with A. D u is taken once per outer iteration, for the multiplier
-update and the next shrinkage.
+for bit.
+
+The u-step solves H u = beta D^T (w + nu/beta) + mu A^T (b + lambda/mu) with
+H = beta D^T D + mu A^T A. Since D^T D u = u L + L u for L = B^T B, the
+eigenbasis V of L (the DCT-II basis) diagonalizes D^T D (as the FFT does under
+a periodic boundary in FTVd; Wang, Yang, Yin & Zhang 2008). Its null space is
+the constant unit image q, so M = beta D^T D + gamma q q^T is invertible, and
+M^-1 costs four side x side products and a divide. H is M plus a correction
+of rank m + 1, H = M + U^T C U with U = [A; q^T] and C = diag(mu I, -gamma),
+so by the Woodbury identity
+
+    u = z - M^-1 U^T y,  z = M^-1 rhs,  y = S^-1 U z,  S = C^-1 + U M^-1 U^T,
+
+and U u = C^-1 y gives A u = y[:m] / mu with no product with A. S^-1 is
+(m+1) x (m+1) and depends only on A, side, beta and mu, so solve_tv builds
+it (_UStep) on the first solve with a matrix and penalties and caches it on
+the MixingMatrix; an outer iteration then makes three products with A. D u
+is taken once per outer iteration, for the multiplier update and the next
+shrinkage.
 
 The solver is fully deterministic: no randomized steps, fixed summation order.
 """
@@ -49,10 +59,11 @@ class SolverParams:
 
     mu and beta weigh the measurement and gradient constraints; the solver
     stops when an outer iteration changes u by less than outer_tol
-    (relative) or after max_outer outer iterations, and each outer iteration
-    takes max_inner conjugate-gradient steps on the u-subproblem, one
-    Hessian-vector product apiece. Defaults are the values the acceptance
-    harness runs at; they suit 8-bit scale imagery.
+    (relative) or after max_outer outer iterations. Each outer iteration
+    solves its u-subproblem exactly, so max_inner has no effect: it is still
+    accepted, and must not be negative, so that callers written for the
+    earlier iterative u-step keep working. Defaults are the values the
+    acceptance harness runs at; they suit 8-bit scale imagery.
     """
 
     mu: float = 2.0 ** 8
@@ -86,10 +97,18 @@ class GradientField:
 
 @dataclass
 class SolverResult:
+    """The recovered raster and how the solve ended.
+
+    stop_reason is "tolerance" (an outer iteration changed u by less than
+    outer_tol), "cap" (max_outer outer iterations ran without that) or
+    "zero-input" (all-zero measurements: u = 0 without iterating).
+    """
+
     u: np.ndarray
     outer_iterations: int
     final_fidelity: float
     final_rel_change: float
+    stop_reason: str
 
 
 def _diff_matrix(n: int) -> np.ndarray:
@@ -159,39 +178,57 @@ def tv_norm(u: np.ndarray) -> float:
     return float(np.hypot(g.dx, g.dy).sum())
 
 
-def _hessian_terms(A, beta_L, g):
-    """(A g, beta D^T D g) for a square raster g, with beta_L = beta B^T B.
+class _UStep:
+    """The exact u-step for one matrix A, side, beta and mu: H^-1 by the Woodbury identity.
 
-    They give the surrogate's Hessian-vector product
-    H g = beta D^T D g + mu A^T (A g), and its curvature
-    g^T H g = <g, beta D^T D g> + mu |A g|^2 without the product with A^T.
+    Holds V (the eigenbasis of L, V[:, 0] = 1/sqrt(side) exactly), eig (M's
+    eigenvalues in the basis V (x) V, gamma = beta along q) and S^-1, which
+    takes (m+1)^2 float64; it refers to A but keeps no copy of it and no
+    other m x k array.
     """
-    return A @ g.ravel(), g @ beta_L + beta_L @ g
 
+    def __init__(self, A, side, beta, mu):
+        B = _diff_matrix(side)
+        lam, V = np.linalg.eigh(B.T @ B)
+        # L's null space is the constant image: state its vector and eigenvalue exactly
+        lam[0] = 0.0
+        V[:, 0] = side ** -0.5
+        eig = beta * (lam[:, None] + lam[None, :])
+        eig[0, 0] = beta  # gamma, M's eigenvalue along q
+        m = len(A)
+        # A_hat = A (V (x) V) eig^(-1/2), the one m x k transient, so that
+        # A M^-1 A^T = A_hat A_hat^T; each row is V^T A_i V scaled
+        Ahat = A.reshape(m, side, side) @ V
+        for row in Ahat:
+            row[...] = V.T @ row
+        Ahat /= np.sqrt(eig)
+        Ahat = Ahat.reshape(m, side * side)
+        S = np.empty((m + 1, m + 1))
+        S[:m, :m] = Ahat @ Ahat.T
+        S[np.diag_indices(m)] += 1.0 / mu
+        # A M^-1 q = A q / gamma, q being the first image of the basis V (x) V
+        S[:m, m] = S[m, :m] = Ahat[:, 0] / math.sqrt(beta)
+        S[m, m] = 0.0  # -1/gamma + q^T M^-1 q
+        del Ahat
+        try:
+            self.S_inv = np.linalg.inv(S)
+        except np.linalg.LinAlgError:
+            raise CodecError("singular-matrix", "A maps the constant image to zero: "
+                             "the u-step has no unique solution") from None
+        self.A, self.V, self.eig, self.mu = A, V, eig, mu
 
-def _minimize_surrogate(A, beta_L, mu, u, Au, grad, max_inner):
-    """max_inner conjugate-gradient steps on Q from u, whose gradient is `grad`.
+    def _m_inv(self, x):
+        """M^-1 x for a side x side raster x."""
+        V = self.V
+        return V @ ((V.T @ x @ V) / self.eig) @ V.T
 
-    Each step moves u and A u along p by the exact minimizer
-    alpha = |r|^2 / p^T H p, where r = -grad Q(u); in exact arithmetic the
-    iterates minimize Q over the Krylov space of H and r, and Q never rises.
-    """
-    r = -grad
-    p = r
-    rr = float(np.vdot(r, r))
-    for step in range(max_inner):
-        Ap, DtDp = _hessian_terms(A, beta_L, p)
-        curv = float(np.vdot(p, DtDp)) + mu * float(np.vdot(Ap, Ap))
-        if curv <= 0.0:  # p = 0 (u minimizes Q), or H p = 0
-            break
-        alpha = rr / curv
-        u = u + alpha * p
-        Au = Au + alpha * Ap
-        if step + 1 < max_inner:
-            r = r - alpha * (DtDp + mu * (Ap @ A).reshape(p.shape))
-            rr, rr_prev = float(np.vdot(r, r)), rr
-            p = r + (rr / rr_prev) * p
-    return u, Au
+    def __call__(self, rhs):
+        """(u, A u) for the minimizer u of Q, H u = rhs: three products with A."""
+        A, side, m = self.A, len(rhs), len(self.A)
+        z = self._m_inv(rhs)
+        y = self.S_inv @ np.append(A @ z.ravel(), z.sum() / side)
+        u = z - self._m_inv((y[:m] @ A).reshape(side, side) + y[m] / side)
+        return u, y[:m] / self.mu
 
 
 def solve_tv(matrix: MixingMatrix, b: MeasurementVector, side: int,
@@ -212,8 +249,12 @@ def solve_tv(matrix: MixingMatrix, b: MeasurementVector, side: int,
         raise CodecError("shape-mismatch", f"b has {raw.shape[0]} values, matrix m={matrix.m}")
     if not raw.any():
         return SolverResult(u=np.zeros((side, side)), outer_iterations=1,
-                            final_fidelity=0.0, final_rel_change=0.0)
+                            final_fidelity=0.0, final_rel_change=0.0, stop_reason="zero-input")
     mu, beta = params.mu, params.beta
+    cache = matrix._solver_cache
+    if (beta, mu) not in cache:
+        cache[beta, mu] = _UStep(A, side, beta, mu)
+    u_step = cache[beta, mu]
 
     scale = float(np.linalg.norm(raw)) / math.sqrt(matrix.m)
     if scale == 0.0:
@@ -221,31 +262,25 @@ def solve_tv(matrix: MixingMatrix, b: MeasurementVector, side: int,
     bvec = raw / scale
 
     B = _diff_matrix(side)
-    beta_L = beta * (B.T @ B)
     u = (bvec @ A).reshape(side, side)
-    Au = A @ u.ravel()
     Du = _D(u, B)
     # Lagrange multipliers, scaled: s = nu/beta for the gradient split (dx, dy
     # stacked like Du), l = lambda/mu for the measurements
     s = np.zeros((2, side, side))
     l = np.zeros(matrix.m)
     rel_change = 0.0
-    outer = 0
+    stop_reason = "cap"
     for outer in range(1, params.max_outer + 1):
-        v = Du - s
-        w = _shrink(v, 1.0 / beta)
-        # residuals of the surrogate: D u - (w + s), A u - (b + l)
-        r = v - w
-        rb = Au - bvec - l
-        grad = beta * _Dt(r, B) + mu * (rb @ A).reshape(side, side)
+        w = _shrink(Du - s, 1.0 / beta)
         u_prev = u
-        u, Au = _minimize_surrogate(A, beta_L, mu, u, Au, grad, params.max_inner)
+        u, Au = u_step(beta * _Dt(w + s, B) + mu * ((bvec + l) @ A).reshape(side, side))
         if not np.all(np.isfinite(u)):
             raise CodecError("non-finite-value",
-                             f"solver diverged at outer iteration {outer}; reduce step or penalties")
+                             f"solver diverged at outer iteration {outer}; reduce the penalties")
         rel_change = float(np.linalg.norm(u - u_prev)) \
             / max(float(np.linalg.norm(u_prev)), _REL_FLOOR)
         if rel_change < params.outer_tol:
+            stop_reason = "tolerance"
             break
         Du = _D(u, B)
         s = s - (Du - w)
@@ -255,6 +290,7 @@ def solve_tv(matrix: MixingMatrix, b: MeasurementVector, side: int,
         outer_iterations=outer,
         final_fidelity=scale * float(np.linalg.norm(Au - bvec)),
         final_rel_change=rel_change,
+        stop_reason=stop_reason,
     )
 
 

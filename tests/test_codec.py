@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import ubss_codec.codec as codec_mod
+import ubss_codec.tv as tv_mod
 from ubss_codec import (Bitstream, CodecConfig, CodecError, Frame,
                         SolverParams, decode_sequence, encode_sequence,
                         moving_square, psnr, rate_report)
@@ -46,6 +47,17 @@ def test_config_matrix_size_limit():
     with pytest.raises(CodecError) as e:
         CodecConfig(n=16, block_size=32, sampling_rate=2049 / 16384)
     assert e.value.code == "resource-limit"
+
+
+def test_config_composite_side_limit():
+    # the composite side sqrt(n) * block_size may be at most MAX_COMPOSITE_SIDE
+    assert codec_mod.MAX_COMPOSITE_SIDE == 128
+    for n, bs in ((16, 32), (1, 128), (64, 16)):
+        CodecConfig(n=n, block_size=bs, sampling_rate=1e-9)
+    for n, bs in ((1, 129), (25, 26), (225, 9)):
+        with pytest.raises(CodecError) as e:
+            CodecConfig(n=n, block_size=bs, sampling_rate=1e-9)
+        assert e.value.code == "resource-limit"
 
 
 def test_measurements_per_block_rounding():
@@ -230,14 +242,41 @@ def test_bitstream_rejects_fields_beyond_header():
 
 
 def test_decode_refuses_hostile_matrix_size(monkeypatch):
-    # a 65 KB stream whose header asks for a 1000 x 225*255^2 matrix (117 GB):
-    # one trailing frame and no GOP, so the payload length check passes
+    # streams of at most 65 KB whose headers ask for more decoder work than
+    # the limits allow, refused before any matrix is built:
+    # - a 2049 x 16384 matrix (128 KiB over MAX_MATRIX_BYTES) at composite
+    #   side 128, and a 1000 x 225*255^2 one (117 GB) at side 3825, each with
+    #   one trailing frame and no GOP;
+    # - one GOP of one block position with m = 1 at composite sides 129 and
+    #   3825, whose 1 x 129^2 and 1 x 225*255^2 (112 MiB) matrices fit
     monkeypatch.setattr(codec_mod, "gen_mixing_matrix", _no_matrix)
-    header = codec_mod._HEADER.pack(codec_mod.MAGIC, codec_mod.VERSION, 0, 1, 0,
-                                    255, 255, 225, 255, 1, 1, 1000)
-    with pytest.raises(CodecError) as e:
-        decode_sequence(Bitstream.from_bytes(header + bytes(255 * 255)))
-    assert e.value.code == "resource-limit"
+    for gop_n, bs, frames, m, payload in ((16, 32, 1, 2049, 32 * 32),
+                                          (225, 255, 1, 1000, 255 * 255),
+                                          (1, 129, 2, 1, 129 * 129 + 4),
+                                          (225, 255, 226, 1, 255 * 255 + 4)):
+        header = codec_mod._HEADER.pack(codec_mod.MAGIC, codec_mod.VERSION, 0, 1, 0,
+                                        bs, bs, gop_n, bs, frames, 1, m)
+        with pytest.raises(CodecError) as e:
+            decode_sequence(Bitstream.from_bytes(header + bytes(payload)))
+        assert e.value.code == "resource-limit", (gop_n, bs, m)
+
+
+def test_decode_builds_u_step_once_per_stream(monkeypatch):
+    # every composite of a stream shares the matrix, so its u-step factor is
+    # built on the first active composite and reused by the rest
+    builds = []
+
+    class Counted(tv_mod._UStep):
+        def __init__(self, *args):
+            builds.append(args[1:])
+            super().__init__(*args)
+
+    monkeypatch.setattr(tv_mod, "_UStep", Counted)
+    frames = moving_square(32, 32, 10, square=12, step=1, start_x=2)
+    stream = encode_sequence(frames, CodecConfig(n=4, block_size=8, sampling_rate=0.5))
+    assert stream.num_gops == 2 and all(stream.gop_measurements(i).any() for i in (0, 1))
+    decode_sequence(Bitstream.from_bytes(stream.to_bytes()))
+    assert len(builds) == 1
 
 
 def _last_gop_writer(fmt):

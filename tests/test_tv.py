@@ -6,8 +6,7 @@ from ubss_codec import (CodecError, CompositeBlock, GradientField,
                         decode_composite, divergence_adjoint, forward_diff,
                         gen_mixing_matrix, mix_batch, shrink2, solve_tv,
                         tv_norm)
-from ubss_codec.tv import (_D, _Dt, _diff_matrix, _hessian_terms,
-                           _minimize_surrogate)
+from ubss_codec.tv import _D, _Dt, _diff_matrix, _UStep
 
 from reference_tv import psnr_vs, tv_subgradient_reference
 
@@ -235,85 +234,57 @@ def test_surrogate_gradient_matches_central_differences():
         assert np.max(np.abs(analytic.ravel() - numeric)) / scale <= 1e-5
 
 
-def test_hessian_product_matches_central_differences():
-    # Q's gradient is affine in u, so central differences of it along g give
-    # H g = (beta D^T D + mu A^T A) g up to rounding; the solver builds H g and
-    # g^T H g from the terms A g and beta D^T D g
-    rng = np.random.default_rng(6)
-    beta, mu = 2.0 ** 5, 2.0 ** 8
-    B = _diff_matrix(8)
-    for trial in range(5):
-        A = rng.normal(size=(32, 64)) / np.sqrt(32)
-        b = rng.normal(size=32) * 10
-        wx, wy = rng.normal(size=(2, 8, 8))
-        nux, nuy = rng.normal(size=(2, 8, 8))
-        lam = rng.normal(size=32)
-        u = rng.normal(size=(8, 8)) * 5
-        g = rng.normal(size=(8, 8))
+def _surrogate(A, seed):
+    """A side-4 instance of the u-step for the m x 16 matrix A: (rhs, u0, grad Q).
 
-        def grad_q(v):
-            d = forward_diff(v)
-            return beta * divergence_adjoint(
-                GradientField(d.dx - wx - nux / beta, d.dy - wy - nuy / beta)) \
-                + mu * (A.T @ (A @ v.ravel() - b - lam / mu)).reshape(8, 8)
-
-        h = 1e-6
-        numeric = (grad_q(u + h * g) - grad_q(u - h * g)) / (2 * h)
-        Ag, DtDg = _hessian_terms(A, beta * (B.T @ B), g)
-        Hg = DtDg + mu * (Ag @ A).reshape(8, 8)
-        scale = max(1.0, np.max(np.abs(numeric)))
-        assert np.max(np.abs(Hg - numeric)) / scale <= 1e-5
-        curv = np.vdot(g, DtDg) + mu * np.vdot(Ag, Ag)
-        assert curv == pytest.approx(np.vdot(g, numeric), rel=1e-5)
-
-
-def _tiny_surrogate(seed):
-    """A side-4 instance of the u-step: (A, beta_L, mu, u0, Q, grad Q).
-
-    Q(u) = beta/2 |D u - w - s|^2 + mu/2 |A u - b - l|^2 with a Gaussian
-    8 x 16 matrix; w, s and b, l enter Q only as the sums w + s and b + l,
-    which are drawn at random.
+    Q(u) = beta/2 |D u - w - s|^2 + mu/2 |A u - b - l|^2 at the default
+    penalties; w, s and b, l enter Q only as the sums w + s and b + l, which
+    are drawn at random, and rhs = beta D^T (w + s) + mu A^T (b + l) is the
+    right-hand side of the u-step's system H u = rhs.
     """
     rng = np.random.default_rng(seed)
-    beta, mu = 2.0 ** 5, 2.0 ** 8
+    beta, mu = SolverParams().beta, SolverParams().mu
     B = _diff_matrix(4)
-    A = rng.normal(size=(8, 16)) / np.sqrt(8)
     ws = rng.normal(size=(2, 4, 4))
-    bl = rng.normal(size=8)
-
-    def q(u):
-        r, rb = _D(u, B) - ws, A @ u.ravel() - bl
-        return 0.5 * beta * np.vdot(r, r) + 0.5 * mu * np.vdot(rb, rb)
+    bl = rng.normal(size=len(A))
 
     def grad(u):
         return beta * _Dt(_D(u, B) - ws, B) \
             + mu * (A.T @ (A @ u.ravel() - bl)).reshape(4, 4)
 
-    return A, beta * (B.T @ B), mu, rng.normal(size=(4, 4)), q, grad
+    rhs = beta * _Dt(ws, B) + mu * (A.T @ bl).reshape(4, 4)
+    return rhs, rng.normal(size=(4, 4)), grad
 
 
-def test_u_step_never_raises_q():
-    # the first j steps do not depend on max_inner, so max_inner = j gives
-    # the j-th iterate
+def _u_step_instances():
+    """Gaussian 8 x 16 matrices, the 16 x 16 identity and Gaussian 1 x 16 rows."""
     for seed in range(5):
-        A, beta_L, mu, u0, q, grad = _tiny_surrogate(seed)
-        values = []
-        for j in range(33):
-            u, Au = _minimize_surrogate(A, beta_L, mu, u0, A @ u0.ravel(), grad(u0), j)
-            assert np.allclose(Au, A @ u.ravel(), rtol=0, atol=1e-9)
-            values.append(q(u))
-        assert all(b <= a * (1 + 1e-12) for a, b in zip(values, values[1:]))
-        assert values[-1] < values[0]
+        rng = np.random.default_rng(100 + seed)
+        yield seed, rng.normal(size=(8, 16)) / np.sqrt(8)
+        yield seed, np.eye(16)
+        yield seed, rng.normal(size=(1, 16))
 
 
 def test_u_step_lands_on_q_minimizer():
-    # conjugate gradient ends on the minimizer of a k-dimensional quadratic
-    # within k steps in exact arithmetic; 2k steps absorb the rounding
-    for seed in range(5):
-        A, beta_L, mu, u0, q, grad = _tiny_surrogate(seed)
-        g0 = grad(u0)
-        u, _ = _minimize_surrogate(A, beta_L, mu, u0, A @ u0.ravel(), g0, 32)
-        assert np.linalg.norm(grad(u)) < 1e-6 * np.linalg.norm(g0)
+    # the exact u-step zeroes Q's gradient to rounding and agrees with a dense
+    # solve of H u = rhs, H built from the entry-by-entry stencil matrix
+    beta, mu = SolverParams().beta, SolverParams().mu
+    D = _dense_gradient_matrix(4, 4)
+    for seed, A in _u_step_instances():
+        rhs, u0, grad = _surrogate(A, seed)
+        u, _ = _UStep(A, 4, beta, mu)(rhs)
+        assert np.linalg.norm(grad(u)) <= 1e-9 * np.linalg.norm(grad(u0))
+        dense = np.linalg.solve(beta * D.T @ D + mu * A.T @ A, rhs.ravel())
+        assert np.linalg.norm(u.ravel() - dense) <= 1e-9 * np.linalg.norm(dense)
+
+
+def test_u_step_returns_a_u():
+    # A u comes from the Woodbury solve, not from a product with A
+    beta, mu = SolverParams().beta, SolverParams().mu
+    for seed, A in _u_step_instances():
+        rhs, _, _ = _surrogate(A, seed)
+        u, Au = _UStep(A, 4, beta, mu)(rhs)
+        assert np.linalg.norm(Au - A @ u.ravel()) <= 1e-9 * np.linalg.norm(A @ u.ravel())
 
 
 # --- solve_tv ---------------------------------------------------------------
@@ -389,6 +360,63 @@ def test_solve_scale_covariance_on_identity_problems():
     for alpha in (0.5, 2.0):
         scaled = solve_tv(ident, MeasurementVector((0, 0), alpha * img.ravel()), 16)
         assert psnr_vs(alpha * base.u, scaled.u) >= 60.0
+
+
+def test_stop_reason_tolerance():
+    img = _square_image()
+    res = solve_tv(MixingMatrix.identity(1024), MeasurementVector((0, 0), img.ravel()), 32)
+    assert res.stop_reason == "tolerance"
+    assert res.final_rel_change < SolverParams().outer_tol and res.outer_iterations < 300
+
+
+def test_stop_reason_cap():
+    img = _square_image()
+    res = solve_tv(MixingMatrix.identity(1024), MeasurementVector((0, 0), img.ravel()), 32,
+                   SolverParams(max_outer=3))
+    assert res.stop_reason == "cap"
+    assert res.outer_iterations == 3 and res.final_rel_change >= SolverParams().outer_tol
+
+
+def test_stop_reason_zero_input():
+    res = solve_tv(gen_mixing_matrix(3, 128, 1024), MeasurementVector((0, 0), np.zeros(128)), 32)
+    assert res.stop_reason == "zero-input" and res.outer_iterations == 1
+
+
+class _CountedMatrix(np.ndarray):
+    """An array that counts the products it takes part in through `@`."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        _CountedMatrix.products += 1
+        return np.asarray(self) @ np.asarray(other)
+
+    def __rmatmul__(self, other):
+        _CountedMatrix.products += 1
+        return np.asarray(other) @ np.asarray(self)
+
+
+def test_outer_iteration_takes_three_products_with_a():
+    # the warm start u = A^T b takes one product; each outer iteration takes
+    # A^T (b + l), A z and A^T y, and gets A u without a product
+    img = _square_image(16, 3, 10, 80.0)
+    entries = gen_mixing_matrix(5, 64, 256).entries
+    matrix = MixingMatrix(seed=None, m=64, k=256, entries=entries.view(_CountedMatrix))
+    b = MeasurementVector((0, 0), entries @ img.ravel())
+    solve_tv(matrix, b, 16)  # builds and caches the u-step
+    for outer in (1, 2, 10):
+        _CountedMatrix.products = 0
+        res = solve_tv(matrix, b, 16, SolverParams(max_outer=outer, outer_tol=1e-300))
+        assert res.outer_iterations == outer and res.stop_reason == "cap"
+        assert _CountedMatrix.products == 1 + 3 * outer
+
+
+def test_solve_refuses_matrix_blind_to_constants():
+    # rows summing to zero leave the constant image unmeasured and H singular
+    matrix = MixingMatrix(seed=None, m=1, k=4, entries=np.array([[1.0, -1.0, 0.0, 0.0]]))
+    with pytest.raises(CodecError) as e:
+        solve_tv(matrix, MeasurementVector((0, 0), np.ones(1)), 2)
+    assert e.value.code == "singular-matrix"
 
 
 def test_solve_shape_checks():
