@@ -6,7 +6,6 @@ import argparse
 import csv
 import sys
 import time
-from dataclasses import dataclass
 
 from .codec import Bitstream, CodecConfig, decode_sequence, encode_sequence, rate_report
 from .errors import CodecError
@@ -15,28 +14,6 @@ from .synthetic import moving_square
 
 SWEEP_COLUMNS = ["sequence", "rate", "block_size", "mode", "psnr_db",
                  "encode_s", "decode_s", "pixel_ratio", "bit_ratio"]
-
-
-@dataclass
-class ExperimentRow:
-    """One sweep data point; column order matches SWEEP_COLUMNS."""
-
-    sequence: str
-    rate: float
-    block_size: int
-    mode: str
-    psnr_db: float
-    encode_s: float
-    decode_s: float
-    pixel_ratio: float
-    bit_ratio: float
-
-    def as_csv(self):
-        return [self.sequence, self.rate, self.block_size, self.mode,
-                f"{self.psnr_db:.4f}", f"{self.encode_s:.4f}",
-                f"{self.decode_s:.4f}", f"{self.pixel_ratio:.6f}",
-                f"{self.bit_ratio:.6f}"]
-
 
 BLOCKSTUDY_COLUMNS = ["sequence", "rate", "block_size", "composite_side", "psnr_db",
                       "decode_s_per_composite", "decode_s", "composites"]
@@ -121,11 +98,10 @@ def cmd_sweep(args) -> int:
                 config = _config(args, rate=rate, mode=mode)
                 stream, _, mean_psnr, encode_s, decode_s = _run_point(frames, config)
                 report = rate_report(stream)
-                row = ExperimentRow(args.input, rate, args.block_size, mode,
-                                    mean_psnr, encode_s, decode_s,
-                                    report.pixel_domain_ratio,
-                                    report.bit_domain_ratio)
-                writer.writerow(row.as_csv())
+                writer.writerow([args.input, rate, args.block_size, mode,
+                                 f"{mean_psnr:.4f}", f"{encode_s:.4f}", f"{decode_s:.4f}",
+                                 f"{report.pixel_domain_ratio:.6f}",
+                                 f"{report.bit_domain_ratio:.6f}"])
             except CodecError as exc:
                 writer.writerow([args.input, rate, args.block_size, mode,
                                  f"error:{exc.code}", "", "", "", ""])
@@ -167,14 +143,13 @@ def cmd_timing(args) -> int:
     return 0
 
 
-def _add_input_args(p, with_format=True):
+def _add_input_args(p):
     p.add_argument("input",
                    help=f"raw video file, or '{SYNTHETIC_INPUT}' for the built-in sequence")
     p.add_argument("--width", type=int, required=True)
     p.add_argument("--height", type=int, required=True)
     p.add_argument("--frames", type=int, required=True)
-    if with_format:
-        p.add_argument("--format", choices=["gray8", "yuv420p"], default="gray8")
+    p.add_argument("--format", choices=["gray8", "yuv420p"], default="gray8")
 
 
 def _add_config_args(p, with_rate=True, with_block_size=True, with_mode=True):

@@ -3,7 +3,7 @@
 Bitstream layout (all little-endian):
 
 * magic "UBS1" (4 bytes), version u8=1, flags u8 (bit0: non-residual ablation,
-  bit1: q16 measurements), generator-ID u8, reserved u8
+  bit1: q16 measurements, bits 2-7 zero), generator-ID u8, reserved u8 = 0
 * width u16, height u16, gop_n u8, block_size u8, frame_count u32, seed u64,
   m_per_block u32
 * per GOP: raw key payload (width*height bytes), then for each block position
@@ -46,11 +46,11 @@ _MAX_U32 = 0xFFFFFFFF
 # regenerates from a header: 256 MiB, 32 times the 8 MiB of k = 1024 at rate 1.
 MAX_MATRIX_BYTES = 256 * 2 ** 20
 # Largest composite side, sqrt(gop_n) * block_size, a config or header may ask
-# for: the decoder's TV u-step takes an eigendecomposition and dense products
-# of side x side matrices, which MAX_MATRIX_BYTES does not bound. 128 is the
-# side of n = 16 at block 32, the largest any test builds. The u-step's other
-# state, an (m+1) x (m+1) float64 matrix, takes at most (m+1)^2 * 8 bytes:
-# since m <= k, about the matrix's own bytes.
+# for: the decoder's TV u-step takes dense products of side x side matrices,
+# which MAX_MATRIX_BYTES does not bound. 128 is the side of n = 16 at block
+# 32, the largest any test builds. The u-step's other state, an (m+1) x (m+1)
+# float64 matrix, takes at most (m+1)^2 * 8 bytes: since m <= k, about the
+# matrix's own bytes.
 MAX_COMPOSITE_SIDE = 128
 
 
@@ -251,10 +251,14 @@ class Bitstream:
             raise CodecError("bad-magic", "input is not a UBS1 bitstream")
         if len(data) < _HEADER.size:
             raise CodecError("truncated-payload", f"{len(data)} bytes is shorter than the header")
-        (_, version, flags, generator_id, _reserved, width, height, gop_n,
+        (_, version, flags, generator_id, reserved, width, height, gop_n,
          block_size, frame_count, seed, m_per_block) = _HEADER.unpack_from(data)
         if version != VERSION:
             raise CodecError("unsupported-version", f"version {version}")
+        # to_bytes writes them as zero, so any other value would not round-trip
+        if flags & ~(FLAG_NON_RESIDUAL | FLAG_Q16) or reserved:
+            raise CodecError("invalid-header", f"flags {flags:#04x}, reserved byte {reserved}: "
+                             "undefined bits must be zero")
         return cls(width=width, height=height, gop_n=gop_n, block_size=block_size,
                    frame_count=frame_count, seed=seed, m_per_block=m_per_block,
                    generator_id=generator_id,

@@ -10,20 +10,16 @@ iteration:
    Q(u) = beta/2 ||D u - w - nu/beta||^2 + mu/2 ||A u - b - lambda/mu||^2;
 3. multiplier updates nu <- nu - beta (D u - w), lambda <- lambda - mu (A u - b).
 
-forward_diff and divergence_adjoint state D and D^T for any raster as O(HW)
-slice stencils. Inside the solver, where a raster is one composite, D is the
-1-D forward-difference matrix B of _diff_matrix: _D(u, B) = (u B^T, B u) and
-_Dt((gx, gy), B) = gx B + B^T gy; on finite input _D equals forward_diff bit
-for bit.
+D and D^T are the slice stencils _grad and _grad_t, public as forward_diff and divergence_adjoint.
 
 The u-step solves H u = beta D^T (w + nu/beta) + mu A^T (b + lambda/mu) with
-H = beta D^T D + mu A^T A. Since D^T D u = u L + L u for L = B^T B, the
-eigenbasis V of L (the DCT-II basis) diagonalizes D^T D (as the FFT does under
-a periodic boundary in FTVd; Wang, Yang, Yin & Zhang 2008). Its null space is
-the constant unit image q, so M = beta D^T D + gamma q q^T is invertible, and
-M^-1 costs four side x side products and a divide. H is M plus a correction
-of rank m + 1, H = M + U^T C U with U = [A; q^T] and C = diag(mu I, -gamma),
-so by the Woodbury identity
+H = beta D^T D + mu A^T A. Since D^T D u = u L + L u for L the 1-D Neumann
+Laplacian, L's eigenbasis V, the DCT-II basis in closed form, diagonalizes
+D^T D (as the FFT does under a periodic boundary in FTVd; Wang, Yang, Yin &
+Zhang 2008). Its null space is the constant unit image q, so
+M = beta D^T D + gamma q q^T is invertible, and M^-1 costs four side x side
+products and a divide. H is M plus a correction of rank m + 1, H = M + U^T C U
+with U = [A; q^T] and C = diag(mu I, -gamma), so by the Woodbury identity
 
     u = z - M^-1 U^T y,  z = M^-1 rhs,  y = S^-1 U z,  S = C^-1 + U M^-1 U^T,
 
@@ -111,25 +107,23 @@ class SolverResult:
     stop_reason: str
 
 
-def _diff_matrix(n: int) -> np.ndarray:
-    """The n x n forward-difference matrix B: (B x)_i = x_(i+1) - x_i, last row 0."""
-    B = np.eye(n, k=1) - np.eye(n)
-    B[-1, -1] = 0.0
-    return B
+def _grad(u):
+    """D u of a raster as the stacked field (dx, dy): forward differences, replicate boundary."""
+    g = np.zeros((2,) + u.shape)
+    np.subtract(u[:, 1:], u[:, :-1], out=g[0, :, :-1])
+    np.subtract(u[1:], u[:-1], out=g[1, :-1])
+    return g
 
 
-def _D(u, B):
-    """D u of a square raster as the stacked field (dx, dy), with B = _diff_matrix(side).
-
-    Each entry sums one +1 and one -1 term with exact zeros, so on finite
-    input it equals forward_diff bit for bit.
-    """
-    return np.stack((u @ B.T, B @ u))
-
-
-def _Dt(r, B):
-    """D^T of the stacked field r = (rx, ry), the matrix form of divergence_adjoint."""
-    return r[0] @ B + B.T @ r[1]
+def _grad_t(g):
+    """D^T of the stacked field g = (gx, gy), the negative divergence: see divergence_adjoint."""
+    dx, dy = g[0, :, :-1], g[1, :-1]
+    out = np.zeros(g.shape[1:])
+    out[:, :-1] -= dx
+    out[:, 1:] += dx
+    out[:-1] -= dy
+    out[1:] += dy
+    return out
 
 
 def forward_diff(u: np.ndarray) -> GradientField:
@@ -137,11 +131,8 @@ def forward_diff(u: np.ndarray) -> GradientField:
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 2 or u.size == 0:
         raise CodecError("shape-mismatch", f"expected nonempty 2-D raster, got {u.shape}")
-    dx = np.zeros_like(u)
-    dy = np.zeros_like(u)
-    dx[:, :-1] = u[:, 1:] - u[:, :-1]
-    dy[:-1, :] = u[1:, :] - u[:-1, :]
-    return GradientField(dx=dx, dy=dy)
+    g = _grad(u)
+    return GradientField(dx=g[0], dy=g[1])
 
 
 def divergence_adjoint(g: GradientField) -> np.ndarray:
@@ -150,12 +141,7 @@ def divergence_adjoint(g: GradientField) -> np.ndarray:
     Equals the negative divergence of g under the replicate boundary; the dead
     last column of dx / last row of dy never contribute.
     """
-    out = np.zeros_like(g.dx)
-    out[:, :-1] -= g.dx[:, :-1]
-    out[:, 1:] += g.dx[:, :-1]
-    out[:-1, :] -= g.dy[:-1, :]
-    out[1:, :] += g.dy[:-1, :]
-    return out
+    return _grad_t(np.stack((g.dx, g.dy)))
 
 
 def _shrink(v, t):
@@ -181,18 +167,17 @@ def tv_norm(u: np.ndarray) -> float:
 class _UStep:
     """The exact u-step for one matrix A, side, beta and mu: H^-1 by the Woodbury identity.
 
-    Holds V (the eigenbasis of L, V[:, 0] = 1/sqrt(side) exactly), eig (M's
-    eigenvalues in the basis V (x) V, gamma = beta along q) and S^-1, which
-    takes (m+1)^2 float64; it refers to A but keeps no copy of it and no
-    other m x k array.
+    Holds V (L's closed-form DCT-II eigenbasis, with V[:, 0] = 1/sqrt(side) and
+    its eigenvalue 0 exact), eig (M's eigenvalues in the basis V (x) V, gamma =
+    beta along q) and S^-1, which takes (m+1)^2 float64; it refers to A but
+    keeps no copy of it and no other m x k array.
     """
 
     def __init__(self, A, side, beta, mu):
-        B = _diff_matrix(side)
-        lam, V = np.linalg.eigh(B.T @ B)
-        # L's null space is the constant image: state its vector and eigenvalue exactly
-        lam[0] = 0.0
+        j = np.arange(side)
+        V = math.sqrt(2 / side) * np.cos(np.pi * np.outer(j + 0.5, j) / side)
         V[:, 0] = side ** -0.5
+        lam = 2 - 2 * np.cos(np.pi * j / side)
         eig = beta * (lam[:, None] + lam[None, :])
         eig[0, 0] = beta  # gamma, M's eigenvalue along q
         m = len(A)
@@ -261,9 +246,8 @@ def solve_tv(matrix: MixingMatrix, b: MeasurementVector, side: int,
         scale = 1.0
     bvec = raw / scale
 
-    B = _diff_matrix(side)
     u = (bvec @ A).reshape(side, side)
-    Du = _D(u, B)
+    Du = _grad(u)
     # Lagrange multipliers, scaled: s = nu/beta for the gradient split (dx, dy
     # stacked like Du), l = lambda/mu for the measurements
     s = np.zeros((2, side, side))
@@ -273,7 +257,7 @@ def solve_tv(matrix: MixingMatrix, b: MeasurementVector, side: int,
     for outer in range(1, params.max_outer + 1):
         w = _shrink(Du - s, 1.0 / beta)
         u_prev = u
-        u, Au = u_step(beta * _Dt(w + s, B) + mu * ((bvec + l) @ A).reshape(side, side))
+        u, Au = u_step(beta * _grad_t(w + s) + mu * ((bvec + l) @ A).reshape(side, side))
         if not np.all(np.isfinite(u)):
             raise CodecError("non-finite-value",
                              f"solver diverged at outer iteration {outer}; reduce the penalties")
@@ -282,7 +266,7 @@ def solve_tv(matrix: MixingMatrix, b: MeasurementVector, side: int,
         if rel_change < params.outer_tol:
             stop_reason = "tolerance"
             break
-        Du = _D(u, B)
+        Du = _grad(u)
         s = s - (Du - w)
         l = l - (Au - bvec)
     return SolverResult(

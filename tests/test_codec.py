@@ -194,6 +194,19 @@ def test_container_unsupported_version():
     assert e.value.code == "unsupported-version"
 
 
+def test_container_rejects_undefined_header_bits():
+    # flag bits 2-7 and the reserved byte are written as zero, so a stream
+    # with any of them set could not round-trip through to_bytes
+    data = encode_sequence(_static_frames(w=16, h=16), CodecConfig(block_size=4)).to_bytes()
+    assert Bitstream.from_bytes(data).to_bytes() == data
+    for offset, value in ((5, data[5] | 0x80), (5, data[5] | 0x04), (7, 9)):
+        bad = bytearray(data)
+        bad[offset] = value
+        with pytest.raises(CodecError) as e:
+            Bitstream.from_bytes(bytes(bad))
+        assert e.value.code == "invalid-header", (offset, value)
+
+
 def test_container_truncated():
     data = encode_sequence(_static_frames(), CodecConfig()).to_bytes()
     with pytest.raises(CodecError) as e:

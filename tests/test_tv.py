@@ -6,7 +6,7 @@ from ubss_codec import (CodecError, CompositeBlock, GradientField,
                         decode_composite, divergence_adjoint, forward_diff,
                         gen_mixing_matrix, mix_batch, shrink2, solve_tv,
                         tv_norm)
-from ubss_codec.tv import _D, _Dt, _diff_matrix, _UStep
+from ubss_codec.tv import _grad, _grad_t, _UStep
 
 from reference_tv import psnr_vs, tv_subgradient_reference
 
@@ -59,26 +59,6 @@ def test_forward_diff_matches_dense_matrix():
         flat = D @ u.ravel()
         assert np.allclose(g.dx.ravel(), flat[:54], atol=1e-12)
         assert np.allclose(g.dy.ravel(), flat[54:], atol=1e-12)
-
-
-def test_matrix_form_of_d_equals_slice_stencil():
-    # u B^T and B u add one +1 and one -1 term to exact zeros, so they equal
-    # forward_diff's slice stencil exactly (array_equal: same bits, up to the
-    # sign of 0); the solver's D^T sums up to four terms in another order
-    rng = np.random.default_rng(9)
-    for shape in ((16, 16), (32, 32), (6, 9), (9, 6), (1, 7), (7, 1), (1, 1)):
-        h, w = shape
-        for _ in range(5):
-            u = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4)
-            g = forward_diff(u)
-            assert np.array_equal(u @ _diff_matrix(w).T, g.dx)
-            assert np.array_equal(_diff_matrix(h) @ u, g.dy)
-            if h == w:
-                B = _diff_matrix(h)
-                assert np.array_equal(_D(u, B), np.stack((g.dx, g.dy)))
-                r = rng.normal(size=(2, h, w))
-                assert np.allclose(_Dt(r, B), divergence_adjoint(GradientField(r[0], r[1])),
-                                   rtol=0, atol=1e-12)
 
 
 # --- adjoint ----------------------------------------------------------------
@@ -234,8 +214,8 @@ def test_surrogate_gradient_matches_central_differences():
         assert np.max(np.abs(analytic.ravel() - numeric)) / scale <= 1e-5
 
 
-def _surrogate(A, seed):
-    """A side-4 instance of the u-step for the m x 16 matrix A: (rhs, u0, grad Q).
+def _surrogate(A, side, seed):
+    """A side x side instance of the u-step for the m x side^2 matrix A: (rhs, u0, grad Q).
 
     Q(u) = beta/2 |D u - w - s|^2 + mu/2 |A u - b - l|^2 at the default
     penalties; w, s and b, l enter Q only as the sums w + s and b + l, which
@@ -244,47 +224,53 @@ def _surrogate(A, seed):
     """
     rng = np.random.default_rng(seed)
     beta, mu = SolverParams().beta, SolverParams().mu
-    B = _diff_matrix(4)
-    ws = rng.normal(size=(2, 4, 4))
+    ws = rng.normal(size=(2, side, side))
     bl = rng.normal(size=len(A))
 
     def grad(u):
-        return beta * _Dt(_D(u, B) - ws, B) \
-            + mu * (A.T @ (A @ u.ravel() - bl)).reshape(4, 4)
+        return beta * _grad_t(_grad(u) - ws) \
+            + mu * (A.T @ (A @ u.ravel() - bl)).reshape(side, side)
 
-    rhs = beta * _Dt(ws, B) + mu * (A.T @ bl).reshape(4, 4)
-    return rhs, rng.normal(size=(4, 4)), grad
+    rhs = beta * _grad_t(ws) + mu * (A.T @ bl).reshape(side, side)
+    return rhs, rng.normal(size=(side, side)), grad
 
 
-def _u_step_instances():
-    """Gaussian 8 x 16 matrices, the 16 x 16 identity and Gaussian 1 x 16 rows."""
+# the 1 x 1 case, odd sides and even sides up to 8
+_U_STEP_SIDES = (1, 2, 3, 4, 8)
+
+
+def _u_step_instances(side):
+    """Gaussian max(1, k/2) x k matrices, the k x k identity and Gaussian 1 x k rows, k = side^2."""
+    k = side * side
     for seed in range(5):
         rng = np.random.default_rng(100 + seed)
-        yield seed, rng.normal(size=(8, 16)) / np.sqrt(8)
-        yield seed, np.eye(16)
-        yield seed, rng.normal(size=(1, 16))
+        yield seed, rng.normal(size=(max(1, k // 2), k)) / np.sqrt(max(1, k // 2))
+        yield seed, np.eye(k)
+        yield seed, rng.normal(size=(1, k))
 
 
 def test_u_step_lands_on_q_minimizer():
     # the exact u-step zeroes Q's gradient to rounding and agrees with a dense
     # solve of H u = rhs, H built from the entry-by-entry stencil matrix
     beta, mu = SolverParams().beta, SolverParams().mu
-    D = _dense_gradient_matrix(4, 4)
-    for seed, A in _u_step_instances():
-        rhs, u0, grad = _surrogate(A, seed)
-        u, _ = _UStep(A, 4, beta, mu)(rhs)
-        assert np.linalg.norm(grad(u)) <= 1e-9 * np.linalg.norm(grad(u0))
-        dense = np.linalg.solve(beta * D.T @ D + mu * A.T @ A, rhs.ravel())
-        assert np.linalg.norm(u.ravel() - dense) <= 1e-9 * np.linalg.norm(dense)
+    for side in _U_STEP_SIDES:
+        D = _dense_gradient_matrix(side, side)
+        for seed, A in _u_step_instances(side):
+            rhs, u0, grad = _surrogate(A, side, seed)
+            u, _ = _UStep(A, side, beta, mu)(rhs)
+            assert np.linalg.norm(grad(u)) <= 1e-9 * np.linalg.norm(grad(u0))
+            dense = np.linalg.solve(beta * D.T @ D + mu * A.T @ A, rhs.ravel())
+            assert np.linalg.norm(u.ravel() - dense) <= 1e-9 * np.linalg.norm(dense)
 
 
 def test_u_step_returns_a_u():
     # A u comes from the Woodbury solve, not from a product with A
     beta, mu = SolverParams().beta, SolverParams().mu
-    for seed, A in _u_step_instances():
-        rhs, _, _ = _surrogate(A, seed)
-        u, Au = _UStep(A, 4, beta, mu)(rhs)
-        assert np.linalg.norm(Au - A @ u.ravel()) <= 1e-9 * np.linalg.norm(A @ u.ravel())
+    for side in _U_STEP_SIDES:
+        for seed, A in _u_step_instances(side):
+            rhs, _, _ = _surrogate(A, side, seed)
+            u, Au = _UStep(A, side, beta, mu)(rhs)
+            assert np.linalg.norm(Au - A @ u.ravel()) <= 1e-9 * np.linalg.norm(A @ u.ravel())
 
 
 # --- solve_tv ---------------------------------------------------------------
