@@ -2,10 +2,10 @@
 
 Bitstream layout (all little-endian):
 
-* magic "UBS1" (4 bytes), version u8=1, flags u8 (bit0: non-residual ablation,
-  bit1: q16 measurements, bits 2-7 zero), generator-ID u8, reserved u8 = 0
-* width u16, height u16, gop_n u8, block_size u8, frame_count u32, seed u64,
-  m_per_block u32
+* the header, stated once as the field table _FIELDS: magic "UBS1", version = 1,
+  flags (bit0: non-residual ablation, bit1: q16 measurements, bits 2-7 zero),
+  generator-ID, reserved = 0, width, height, gop_n, block_size, frame_count,
+  seed, m_per_block; each field unsigned with the width of its struct code
 * per GOP: raw key payload (width*height bytes), then for each block position
   in row-major grid order either f32[m] or (min f32, max f32, u16[m])
 * trailing key-only frames: raw payloads in order.
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,15 +33,14 @@ VERSION = 1
 FLAG_NON_RESIDUAL = 0x01
 FLAG_Q16 = 0x02
 
-_HEADER = struct.Struct("<4sBBBBHHBBIQI")
-_U64_MASK = 0xFFFFFFFFFFFFFFFF
-# Largest values the header fields can hold: gop_n is the largest perfect
-# square in a u8, block_size and generator-ID u8s, width and height u16,
-# frame_count and m_per_block u32.
-_MAX_GOP_N = 225
-_MAX_U8 = 0xFF
-_MAX_DIM = 0xFFFF
-_MAX_U32 = 0xFFFFFFFF
+# The header in wire order, field name -> struct code: the only statement of
+# its layout and of each field's limit. The container writes the _FRAMING
+# fields itself; the others are Bitstream fields of the same name.
+_FIELDS = {"magic": "4s", "version": "B", "flags": "B", "generator_id": "B", "reserved": "B",
+           "width": "H", "height": "H", "gop_n": "B", "block_size": "B",
+           "frame_count": "I", "seed": "Q", "m_per_block": "I"}
+_FRAMING = ("magic", "version", "flags", "reserved")
+_HEADER = struct.Struct("<" + "".join(_FIELDS.values()))
 # Largest m x k float64 mixing matrix the encoder builds or the decoder
 # regenerates from a header: 256 MiB, 32 times the 8 MiB of k = 1024 at rate 1.
 MAX_MATRIX_BYTES = 256 * 2 ** 20
@@ -59,6 +58,16 @@ def _record(m: int, q16: bool) -> np.dtype:
     if q16:
         return np.dtype([("lo", "<f4"), ("hi", "<f4"), ("codes", "<u2", (m,))])
     return np.dtype(("<f4", (m,)))
+
+
+def _field_max(name: str) -> int:
+    return 256 ** struct.calcsize(_FIELDS[name]) - 1
+
+
+def _check_fits(name: str, value: int) -> None:
+    """Refuse a value that the unsigned header field `name` cannot hold."""
+    if not 0 <= value <= _field_max(name):
+        raise CodecError("header-field-overflow", f"{name}={value} outside [0, {_field_max(name)}]")
 
 
 def _check_decoder_work(m: int, gop_n: int, block_size: int) -> None:
@@ -91,11 +100,8 @@ class CodecConfig:
             raise CodecError("invalid-sampling-rate", f"{self.sampling_rate} not in (0, 1]")
         if self.block_size < 1:
             raise CodecError("invalid-block-size", str(self.block_size))
-        if self.n > _MAX_GOP_N:
-            raise CodecError("header-field-overflow", f"n={self.n} exceeds {_MAX_GOP_N}")
-        if self.block_size > _MAX_U8:
-            raise CodecError("header-field-overflow",
-                             f"block size {self.block_size} exceeds {_MAX_U8}")
+        _check_fits("gop_n", self.n)
+        _check_fits("block_size", self.block_size)
         if self.measurement_format not in ("f32", "q16"):
             raise CodecError("unknown-measurement-format", self.measurement_format)
         _check_decoder_work(self.m, self.n, self.block_size)
@@ -119,32 +125,31 @@ class RateReport:
     bit_domain_ratio: float
 
 
+@dataclass(kw_only=True)
 class Bitstream:
     """Parsed container: header fields plus the verbatim payload bytes."""
 
-    def __init__(self, *, width, height, gop_n, block_size, frame_count, seed,
-                 m_per_block, generator_id, non_residual, q16, payload):
-        self.width = width
-        self.height = height
-        self.gop_n = gop_n
-        self.block_size = block_size
-        self.frame_count = frame_count
-        self.seed = seed & _U64_MASK
-        self.m_per_block = m_per_block
-        self.generator_id = generator_id
-        self.non_residual = non_residual
-        self.q16 = q16
-        self.payload = bytes(payload)
+    width: int
+    height: int
+    gop_n: int
+    block_size: int
+    frame_count: int
+    seed: int
+    m_per_block: int
+    generator_id: int
+    non_residual: bool
+    q16: bool
+    payload: bytes = field(repr=False)
+
+    def __post_init__(self):
+        self.seed &= _field_max("seed")  # modulo 2^64, as the mixing generator reads it
+        self.payload = bytes(self.payload)
         self._validate()
 
     def _validate(self):
-        for name, limit in (("width", _MAX_DIM), ("height", _MAX_DIM),
-                            ("gop_n", _MAX_U8), ("block_size", _MAX_U8),
-                            ("frame_count", _MAX_U32), ("m_per_block", _MAX_U32),
-                            ("generator_id", _MAX_U8)):
-            value = getattr(self, name)
-            if not 0 <= value <= limit:
-                raise CodecError("header-field-overflow", f"{name}={value} outside [0, {limit}]")
+        for name in _FIELDS:
+            if name not in _FRAMING:
+                _check_fits(name, getattr(self, name))
         if self.width < 1 or self.height < 1:
             raise CodecError("invalid-header", f"dimensions {self.width}x{self.height}")
         if not is_perfect_square(self.gop_n):
@@ -240,10 +245,9 @@ class Bitstream:
 
     def to_bytes(self) -> bytes:
         flags = (FLAG_NON_RESIDUAL if self.non_residual else 0) | (FLAG_Q16 if self.q16 else 0)
-        header = _HEADER.pack(MAGIC, VERSION, flags, self.generator_id, 0,
-                              self.width, self.height, self.gop_n, self.block_size,
-                              self.frame_count, self.seed, self.m_per_block)
-        return header + self.payload
+        framing = {"magic": MAGIC, "version": VERSION, "flags": flags, "reserved": 0}
+        return _HEADER.pack(*(framing[name] if name in framing else getattr(self, name)
+                              for name in _FIELDS)) + self.payload
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Bitstream":
@@ -251,20 +255,16 @@ class Bitstream:
             raise CodecError("bad-magic", "input is not a UBS1 bitstream")
         if len(data) < _HEADER.size:
             raise CodecError("truncated-payload", f"{len(data)} bytes is shorter than the header")
-        (_, version, flags, generator_id, reserved, width, height, gop_n,
-         block_size, frame_count, seed, m_per_block) = _HEADER.unpack_from(data)
+        fields = dict(zip(_FIELDS, _HEADER.unpack_from(data)))
+        _, version, flags, reserved = (fields.pop(name) for name in _FRAMING)
         if version != VERSION:
             raise CodecError("unsupported-version", f"version {version}")
         # to_bytes writes them as zero, so any other value would not round-trip
         if flags & ~(FLAG_NON_RESIDUAL | FLAG_Q16) or reserved:
             raise CodecError("invalid-header", f"flags {flags:#04x}, reserved byte {reserved}: "
                              "undefined bits must be zero")
-        return cls(width=width, height=height, gop_n=gop_n, block_size=block_size,
-                   frame_count=frame_count, seed=seed, m_per_block=m_per_block,
-                   generator_id=generator_id,
-                   non_residual=bool(flags & FLAG_NON_RESIDUAL),
-                   q16=bool(flags & FLAG_Q16),
-                   payload=data[_HEADER.size:])
+        return cls(**fields, non_residual=bool(flags & FLAG_NON_RESIDUAL),
+                   q16=bool(flags & FLAG_Q16), payload=data[_HEADER.size:])
 
 
 def _pack_records(values: np.ndarray, q16: bool) -> bytes:
@@ -296,9 +296,8 @@ def encode_sequence(frames, config: CodecConfig) -> Bitstream:
     if not frames:
         raise CodecError("empty-input", "no frames to encode")
     width, height = frames[0].width, frames[0].height
-    if width > _MAX_DIM or height > _MAX_DIM:
-        raise CodecError("header-field-overflow",
-                         f"{width}x{height} frames exceed {_MAX_DIM} pixels a side")
+    _check_fits("width", width)
+    _check_fits("height", height)
     grid = BlockGrid.for_dims(width, height, config.block_size)
     gops, trailing = segment_gops(frames, config.n)
     matrix = gen_mixing_matrix(config.seed, config.m, config.k) if gops else None
@@ -364,7 +363,7 @@ def rate_report(stream: Bitstream) -> RateReport:
     source_samples = stream.width * stream.height * stream.frame_count
     measurement_count = stream.num_gops * stream.grid.num_blocks * stream.m_per_block
     key_samples = (stream.num_gops + stream.num_trailing) * stream.width * stream.height
-    total_bytes = len(stream.to_bytes())
+    total_bytes = _HEADER.size + len(stream.payload)
     return RateReport(
         source_samples=source_samples,
         measurement_count=measurement_count,

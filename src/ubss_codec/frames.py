@@ -25,13 +25,14 @@ def is_perfect_square(n: int) -> bool:
     return r * r == n
 
 
-class Frame:
-    """Single 8-bit luma raster, row-major. Immutable after construction.
+class _Raster:
+    """Immutable row-major 2-D raster of whole-number samples in [_lo, _hi], held as _dtype.
 
-    Samples must be whole numbers in [0, 255]. Float input is accepted when
-    every sample is integral (np.rint output, say); a fractional or NaN sample
-    is refused with CodecError("non-integral-sample") rather than truncated,
-    and one outside [0, 255], inf included, with "sample-out-of-range".
+    Float input is accepted when every sample is integral (np.rint output, say);
+    a fractional or NaN sample is refused with CodecError("non-integral-sample")
+    rather than truncated, and one out of range, inf included, with
+    "sample-out-of-range". uint8 input lies in range of either raster and is
+    copied unchecked.
     """
 
     __slots__ = ("pixels", "__weakref__")
@@ -40,15 +41,12 @@ class Frame:
         arr = np.asarray(pixels)
         if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
             raise CodecError("dimensions-zero", f"expected nonempty 2-D raster, got shape {arr.shape}")
-        if arr.dtype == np.uint8:
-            arr = arr.copy()
-        else:
-            if np.any(arr < 0) or np.any(arr > 255):
-                raise CodecError("sample-out-of-range", "luma samples must lie in [0, 255]")
+        if arr.dtype != np.uint8:
+            if np.any(arr < self._lo) or np.any(arr > self._hi):
+                raise CodecError("sample-out-of-range", f"samples must lie in [{self._lo}, {self._hi}]")
             if arr.dtype.kind == "f" and not np.all(arr == np.rint(arr)):
-                raise CodecError("non-integral-sample", "luma samples must be whole numbers")
-            arr = arr.astype(np.uint8)
-        self.pixels = _locked(arr)
+                raise CodecError("non-integral-sample", "samples must be whole numbers")
+        self.pixels = _locked(arr.astype(self._dtype))
 
     @property
     def width(self) -> int:
@@ -59,32 +57,21 @@ class Frame:
         return self.pixels.shape[0]
 
     def __repr__(self):
-        return f"Frame({self.width}x{self.height})"
+        return f"{type(self).__name__}({self.width}x{self.height})"
 
 
-class ResidualFrame:
-    """Signed per-pixel difference against a key frame, values in [-255, 255]."""
+class Frame(_Raster):
+    """Single 8-bit luma raster: samples in [0, 255], held as uint8."""
 
-    __slots__ = ("pixels", "__weakref__")
+    __slots__ = ()
+    _lo, _hi, _dtype = 0, 255, np.uint8
 
-    def __init__(self, pixels):
-        arr = np.asarray(pixels)
-        if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
-            raise CodecError("dimensions-zero", f"expected nonempty 2-D raster, got shape {arr.shape}")
-        if np.any(arr < -255) or np.any(arr > 255):
-            raise CodecError("sample-out-of-range", "residual samples must lie in [-255, 255]")
-        self.pixels = _locked(arr.astype(np.int16))
 
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
+class ResidualFrame(_Raster):
+    """Signed per-pixel difference against a key frame: samples in [-255, 255], held as int16."""
 
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    def __repr__(self):
-        return f"ResidualFrame({self.width}x{self.height})"
+    __slots__ = ()
+    _lo, _hi, _dtype = -255, 255, np.int16
 
 
 @dataclass
@@ -93,7 +80,6 @@ class Gop:
 
     key: Frame
     ubss: tuple
-    index: int
 
     def __post_init__(self):
         self.ubss = tuple(self.ubss)
@@ -188,7 +174,7 @@ def segment_gops(frames, n: int):
                                  f"{f.width}x{f.height} frame in a {dims[1]}x{dims[0]} sequence")
     group = n + 1
     full = len(frames) // group
-    gops = [Gop(key=frames[i * group], ubss=tuple(frames[i * group + 1:(i + 1) * group]), index=i)
+    gops = [Gop(key=frames[i * group], ubss=tuple(frames[i * group + 1:(i + 1) * group]))
             for i in range(full)]
     return gops, frames[full * group:]
 
@@ -227,43 +213,3 @@ def save_frame_pgm(frame: Frame, path) -> None:
             fh.write(frame.pixels.tobytes())
     except OSError as exc:
         raise CodecError("io-failure", str(exc)) from exc
-
-
-def load_frame_pgm(path) -> Frame:
-    """Read a binary PGM (P5) with maxval 255 back into a Frame."""
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise CodecError("io-failure", str(exc)) from exc
-
-    pos = 0
-
-    def token():
-        nonlocal pos
-        while pos < len(data):
-            c = data[pos:pos + 1]
-            if c == b"#":
-                while pos < len(data) and data[pos:pos + 1] != b"\n":
-                    pos += 1
-            elif c.isspace():
-                pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise CodecError("pgm-parse", "unexpected end of header")
-        return data[start:pos]
-
-    if token() != b"P5":
-        raise CodecError("pgm-parse", "not a binary PGM (P5) file")
-    width, height, maxval = int(token()), int(token()), int(token())
-    if maxval != 255:
-        raise CodecError("pgm-parse", f"unsupported maxval {maxval}")
-    pos += 1  # single whitespace byte separates header from raster
-    raster = data[pos:pos + width * height]
-    if len(raster) < width * height:
-        raise CodecError("pgm-parse", "raster shorter than declared dimensions")
-    return Frame(np.frombuffer(raster, dtype=np.uint8).reshape(height, width))

@@ -158,12 +158,6 @@ def shrink2(v: GradientField, t: float) -> GradientField:
     return GradientField(dx=w[0], dy=w[1])
 
 
-def tv_norm(u: np.ndarray) -> float:
-    """Isotropic total variation: sum over pixels of the gradient magnitude."""
-    g = forward_diff(u)
-    return float(np.hypot(g.dx, g.dy).sum())
-
-
 class _UStep:
     """The exact u-step for one matrix A, side, beta and mu: H^-1 by the Woodbury identity.
 

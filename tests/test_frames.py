@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from ubss_codec import (BlockGrid, CodecError, Frame, Gop, ResidualFrame,
-                        load_frame_pgm, load_raw_sequence, psnr,
-                        save_frame_pgm, segment_gops)
+                        load_raw_sequence, psnr, save_frame_pgm,
+                        segment_gops)
 
 
 def test_frame_validation():
@@ -41,6 +41,30 @@ def test_residual_range():
     with pytest.raises(CodecError) as e:
         ResidualFrame(np.full((2, 2), 256))
     assert e.value.code == "sample-out-of-range"
+
+
+def test_residual_refuses_what_frame_refuses():
+    # fractional and NaN samples are refused, not truncated; inf is out of range
+    for bad, code in ((np.nan, "non-integral-sample"), (2.9, "non-integral-sample"),
+                      (-3.9, "non-integral-sample"), (np.inf, "sample-out-of-range"),
+                      (-np.inf, "sample-out-of-range")):
+        with pytest.raises(CodecError) as e:
+            ResidualFrame(np.array([[bad]]))
+        assert e.value.code == code, bad
+    with pytest.raises(CodecError) as e:
+        ResidualFrame(np.array([[np.nan, 2.9], [-3.9, 3.0]]))
+    assert e.value.code == "non-integral-sample"
+    with pytest.raises(CodecError) as e:
+        ResidualFrame(np.zeros((0, 3)))
+    assert e.value.code == "dimensions-zero"
+    r = ResidualFrame(np.rint(np.array([[-255.0, 254.6], [0.0, 3.0]])))
+    assert r.pixels.dtype == np.int16
+    assert r.pixels.tolist() == [[-255, 255], [0, 3]]
+    assert repr(r) == "ResidualFrame(2x2)"
+    # uint8 input is in range of both rasters and is copied as it is
+    raw = np.array([[0, 255]], np.uint8)
+    assert ResidualFrame(raw).pixels.tolist() == [[0, 255]]
+    assert Frame(raw).pixels is not raw
 
 
 # --- raw file loading -------------------------------------------------------
@@ -138,7 +162,7 @@ def test_segment_errors():
 
 def test_gop_validation():
     with pytest.raises(CodecError):
-        Gop(key=_frames(1)[0], ubss=tuple(_frames(3)), index=0)
+        Gop(key=_frames(1)[0], ubss=tuple(_frames(3)))
 
 
 # --- PSNR -------------------------------------------------------------------
@@ -202,8 +226,7 @@ def test_pgm_round_trip_all_values(tmp_path):
     raster = np.arange(256, dtype=np.uint8).reshape(16, 16)
     path = tmp_path / "all.pgm"
     save_frame_pgm(Frame(raster), path)
-    back = load_frame_pgm(path)
-    assert np.array_equal(back.pixels, raster)
+    assert path.read_bytes() == b"P5\n16 16\n255\n" + bytes(range(256))
 
 
 def test_pgm_unwritable_path(tmp_path):

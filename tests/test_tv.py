@@ -4,8 +4,7 @@ import pytest
 from ubss_codec import (CodecError, CompositeBlock, GradientField,
                         MeasurementVector, MixingMatrix, SolverParams,
                         decode_composite, divergence_adjoint, forward_diff,
-                        gen_mixing_matrix, mix_batch, shrink2, solve_tv,
-                        tv_norm)
+                        gen_mixing_matrix, mix_batch, shrink2, solve_tv)
 from ubss_codec.tv import _grad, _grad_t, _UStep
 
 from reference_tv import psnr_vs, tv_subgradient_reference
@@ -155,24 +154,6 @@ def test_shrink2_is_prox_minimizer_by_grid_search():
             lo, hi = max(0.0, best - span), best + span
         w = shrink2(GradientField(np.array([[vx]]), np.array([[vy]])), t)
         assert abs(np.hypot(w.dx[0, 0], w.dy[0, 0]) - best) <= 1e-6
-
-
-# --- TV norm ----------------------------------------------------------------
-
-def test_tv_norm_constant():
-    assert tv_norm(np.full((9, 9), 42.0)) == 0.0
-
-
-def test_tv_norm_two_unit_jumps():
-    assert tv_norm(np.array([[0.0, 1.0], [0.0, 1.0]])) == 2.0
-
-
-def test_tv_norm_homogeneity():
-    rng = np.random.default_rng(4)
-    for _ in range(20):
-        u = rng.normal(size=(7, 5)) * 40
-        a = float(rng.normal() * 5)
-        assert tv_norm(a * u) == pytest.approx(abs(a) * tv_norm(u), rel=1e-12)
 
 
 # --- surrogate gradient vs finite differences -------------------------------
