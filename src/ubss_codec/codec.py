@@ -47,9 +47,10 @@ MAX_MATRIX_BYTES = 256 * 2 ** 20
 # Largest composite side, sqrt(gop_n) * block_size, a config or header may ask
 # for: the decoder's TV u-step takes dense products of side x side matrices,
 # which MAX_MATRIX_BYTES does not bound. 128 is the side of n = 16 at block
-# 32, the largest any test builds. The u-step's other state, an (m+1) x (m+1)
-# float64 matrix, takes at most (m+1)^2 * 8 bytes: since m <= k, about the
-# matrix's own bytes.
+# 32, the largest any test builds. The u-step's other state is an m x k
+# float64 copy of the matrix in the DCT basis, the matrix's own bytes, and an
+# (m+1) x (m+1) float64 matrix of at most (m+1)^2 * 8 bytes, about as many
+# again since m <= k: with the matrix, about 3 times its bytes per stream.
 MAX_COMPOSITE_SIDE = 128
 
 
@@ -350,9 +351,13 @@ def decode_sequence(stream: Bitstream, solver_params: SolverParams | None = None
                 disassemble_composite(block, n)
         del values, mv  # row views that would keep the GOP's measurements alive
         out.append(key)
-        base = 0.0 if stream.non_residual else key.pixels.astype(np.float64)
-        out.extend(Frame(np.clip(np.rint(base + r), 0, 255).astype(np.uint8))
-                   for r in recovered)
+        # the frames are rebuilt in place, so the GOP's float64 block is the
+        # only full-size float array
+        if not stream.non_residual:
+            recovered += key.pixels
+        np.rint(recovered, out=recovered)
+        np.clip(recovered, 0, 255, out=recovered)
+        out.extend(Frame(r.astype(np.uint8)) for r in recovered)
     for j in range(stream.num_trailing):
         out.append(stream.trailing_frame(j))
     return out

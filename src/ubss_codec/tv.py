@@ -12,23 +12,38 @@ iteration:
 
 D and D^T are the slice stencils _grad and _grad_t, public as forward_diff and divergence_adjoint.
 
-The u-step solves H u = beta D^T (w + nu/beta) + mu A^T (b + lambda/mu) with
-H = beta D^T D + mu A^T A. Since D^T D u = u L + L u for L the 1-D Neumann
-Laplacian, L's eigenbasis V, the DCT-II basis in closed form, diagonalizes
-D^T D (as the FFT does under a periodic boundary in FTVd; Wang, Yang, Yin &
-Zhang 2008). Its null space is the constant unit image q, so
-M = beta D^T D + gamma q q^T is invertible, and M^-1 costs four side x side
-products and a divide. H is M plus a correction of rank m + 1, H = M + U^T C U
-with U = [A; q^T] and C = diag(mu I, -gamma), so by the Woodbury identity
+The u-step solves H u = beta D^T t + mu A^T r, t = w + nu/beta, r = b + lambda/mu,
+with H = beta D^T D + mu A^T A. Since D^T D u = u L + L u for L the 1-D
+Neumann Laplacian, L's eigenbasis V, the DCT-II basis in closed form,
+diagonalizes D^T D (as the FFT does under a periodic boundary in FTVd; Wang,
+Yang, Yin & Zhang 2008): a raster x has spectral coefficients x^ = V^T x V.
+Its null space is the constant unit image q, x^ = delta_0, so
+M = beta D^T D + gamma q q^T (gamma = beta) is diagonal there, with
+eigenvalues eig. H is M plus a correction of rank m + 1, H = M + U^T C U with
+U = [A; q^T] and C = diag(mu I, -gamma). As mu A^T r = U^T C [r; 0], the
+Woodbury identity gives
 
-    u = z - M^-1 U^T y,  z = M^-1 rhs,  y = S^-1 U z,  S = C^-1 + U M^-1 U^T,
+    u = z - M^-1 U^T e,  z = M^-1 beta D^T t,  e = S^-1 [A z - r; q^T z],
+    S = C^-1 + U M^-1 U^T,
 
-and U u = C^-1 y gives A u = y[:m] / mu with no product with A. S^-1 is
-(m+1) x (m+1) and depends only on A, side, beta and mu, so solve_tv builds
-it (_UStep) on the first solve with a matrix and penalties and caches it on
-the MixingMatrix; an outer iteration then makes three products with A. D u
-is taken once per outer iteration, for the multiplier update and the next
-shrinkage.
+and U u = [r; 0] + C^-1 e, so A u = r + e[:m] / mu. S^-1 is (m+1) x (m+1)
+and depends only on A, side, beta and mu. So does Ahat = A (V (x) V) eig^-1/2,
+the m x k spectral copy of A that S is built from, A M^-1 A^T = Ahat Ahat^T.
+solve_tv builds both (_UStep) on the first solve with a matrix and penalties
+and caches them on the MixingMatrix. In the weighted coefficients
+v^ = eig^1/2 u^, with z^ = beta (V^T D^T t V) / eig, the u-step is
+
+    e = S^-1 [Ahat (eig^1/2 z^) - r; z^_0],
+    v^ = eig^1/2 z^ - Ahat^T e[:m] - (e[m] / beta^1/2) delta_0,
+
+two products with Ahat, two side x side products for V^T D^T t V and none
+with A. The solver iterates on u^ = v^ / eig^1/2 and forms u = V u^ V^T
+(two side x side products) only for D u and the result; as V is
+orthonormal, |u^| = |u| for the relative change. The multiplier update
+lambda <- lambda - mu (A u - b) becomes l <- -e[:m] / mu for l = lambda/mu,
+so r = b - e[:m] / mu is the only measurement-side state, and A u - b =
+e[:m] / mu + r - b gives the final fidelity. The warm start u = A^T b is
+u^ = eig^1/2 (Ahat^T b).
 
 The solver is fully deterministic: no randomized steps, fixed summation order.
 """
@@ -116,11 +131,21 @@ def _grad(u):
 
 
 def _grad_t(g):
-    """D^T of the stacked field g = (gx, gy), the negative divergence: see divergence_adjoint."""
-    dx, dy = g[0, :, :-1], g[1, :-1]
+    """D^T of the stacked field g = (gx, gy), the negative divergence: see divergence_adjoint.
+
+    The x-direction terms run on the flattened raster, where a shift by one
+    sample is a contiguous slice; gx is copied with its dead last column
+    zeroed, so the shift that wraps a row end onto the next row's start adds
+    nothing.
+    """
+    width = g.shape[2]
+    gx = g[0].ravel().copy()
+    gx[width - 1::width] = 0.0
+    dy = g[1, :-1]
     out = np.zeros(g.shape[1:])
-    out[:, :-1] -= dx
-    out[:, 1:] += dx
+    flat = out.ravel()
+    flat[:-1] -= gx[:-1]
+    flat[1:] += gx[:-1]
     out[:-1] -= dy
     out[1:] += dy
     return out
@@ -159,12 +184,13 @@ def shrink2(v: GradientField, t: float) -> GradientField:
 
 
 class _UStep:
-    """The exact u-step for one matrix A, side, beta and mu: H^-1 by the Woodbury identity.
+    """The exact u-step for one matrix A, side, beta and mu, in L's eigenbasis.
 
-    Holds V (L's closed-form DCT-II eigenbasis, with V[:, 0] = 1/sqrt(side) and
-    its eigenvalue 0 exact), eig (M's eigenvalues in the basis V (x) V, gamma =
-    beta along q) and S^-1, which takes (m+1)^2 float64; it refers to A but
-    keeps no copy of it and no other m x k array.
+    Holds V (L's closed-form DCT-II eigenbasis, with V[:, 0] = 1/sqrt(side)
+    and its eigenvalue 0 exact), root = eig^1/2 (M's eigenvalues in the basis
+    V (x) V, gamma = beta along q), Ahat = A (V (x) V) eig^-1/2, the m x k
+    spectral copy of A, and S^-1, which takes (m+1)^2 float64. It keeps no
+    reference to A: an outer iteration reads only Ahat.
     """
 
     def __init__(self, A, side, beta, mu):
@@ -174,40 +200,41 @@ class _UStep:
         lam = 2 - 2 * np.cos(np.pi * j / side)
         eig = beta * (lam[:, None] + lam[None, :])
         eig[0, 0] = beta  # gamma, M's eigenvalue along q
+        root = np.sqrt(eig)
         m = len(A)
-        # A_hat = A (V (x) V) eig^(-1/2), the one m x k transient, so that
-        # A M^-1 A^T = A_hat A_hat^T; each row is V^T A_i V scaled
+        # each row of Ahat is V^T A_i V scaled, so that A M^-1 A^T = Ahat Ahat^T
         Ahat = A.reshape(m, side, side) @ V
         for row in Ahat:
             row[...] = V.T @ row
-        Ahat /= np.sqrt(eig)
+        Ahat /= root
         Ahat = Ahat.reshape(m, side * side)
         S = np.empty((m + 1, m + 1))
         S[:m, :m] = Ahat @ Ahat.T
         S[np.diag_indices(m)] += 1.0 / mu
         # A M^-1 q = A q / gamma, q being the first image of the basis V (x) V
-        S[:m, m] = S[m, :m] = Ahat[:, 0] / math.sqrt(beta)
+        S[:m, m] = S[m, :m] = Ahat[:, 0] / root[0, 0]
         S[m, m] = 0.0  # -1/gamma + q^T M^-1 q
-        del Ahat
         try:
             self.S_inv = np.linalg.inv(S)
         except np.linalg.LinAlgError:
             raise CodecError("singular-matrix", "A maps the constant image to zero: "
                              "the u-step has no unique solution") from None
-        self.A, self.V, self.eig, self.mu = A, V, eig, mu
+        self.Ahat, self.V, self.root, self.mu = Ahat, V, root, mu
+        self.gain = beta / root  # z^ eig^1/2 = (V^T D^T t V) beta / eig^1/2
 
-    def _m_inv(self, x):
-        """M^-1 x for a side x side raster x."""
-        V = self.V
-        return V @ ((V.T @ x @ V) / self.eig) @ V.T
+    def __call__(self, t, r):
+        """(u^, d) for the minimizer u = V u^ V^T of Q with w + s = t, b + l = r; d = A u - r.
 
-    def __call__(self, rhs):
-        """(u, A u) for the minimizer u of Q, H u = rhs: three products with A."""
-        A, side, m = self.A, len(rhs), len(self.A)
-        z = self._m_inv(rhs)
-        y = self.S_inv @ np.append(A @ z.ravel(), z.sum() / side)
-        u = z - self._m_inv((y[:m] @ A).reshape(side, side) + y[m] / side)
-        return u, y[:m] / self.mu
+        Two products with Ahat and none with A.
+        """
+        V, Ahat, root = self.V, self.Ahat, self.root
+        m, side = len(Ahat), len(V)
+        z = (V.T @ _grad_t(t) @ V) * self.gain
+        e = self.S_inv @ np.append(Ahat @ z.ravel() - r, z[0, 0] / root[0, 0])
+        v = z - (e[:m] @ Ahat).reshape(side, side)
+        v[0, 0] -= e[m] / root[0, 0]
+        v /= root
+        return v, e[:m] / self.mu
 
 
 def solve_tv(matrix: MixingMatrix, b: MeasurementVector, side: int,
@@ -220,7 +247,6 @@ def solve_tv(matrix: MixingMatrix, b: MeasurementVector, side: int,
     return u = 0 at once, counted as one outer iteration.
     """
     params = params if params is not None else SolverParams()
-    A = matrix.entries
     if matrix.k != side * side:
         raise CodecError("shape-mismatch", f"matrix k={matrix.k} vs side {side}")
     raw = np.asarray(b.values, dtype=np.float64)
@@ -232,41 +258,45 @@ def solve_tv(matrix: MixingMatrix, b: MeasurementVector, side: int,
     mu, beta = params.mu, params.beta
     cache = matrix._solver_cache
     if (beta, mu) not in cache:
-        cache[beta, mu] = _UStep(A, side, beta, mu)
+        cache[beta, mu] = _UStep(matrix.entries, side, beta, mu)
     u_step = cache[beta, mu]
+    V = u_step.V
 
     scale = float(np.linalg.norm(raw)) / math.sqrt(matrix.m)
     if scale == 0.0:
         scale = 1.0
     bvec = raw / scale
 
-    u = (bvec @ A).reshape(side, side)
+    # u^ = V^T u V, the spectral coefficients of u; the warm start is u = A^T b
+    uhat = (bvec @ u_step.Ahat).reshape(side, side) * u_step.root
+    u = V @ uhat @ V.T
     Du = _grad(u)
-    # Lagrange multipliers, scaled: s = nu/beta for the gradient split (dx, dy
-    # stacked like Du), l = lambda/mu for the measurements
+    # s = nu/beta, the scaled gradient-split multiplier (dx, dy stacked like
+    # Du); the measurement multiplier l = lambda/mu is -d of the last u-step
     s = np.zeros((2, side, side))
-    l = np.zeros(matrix.m)
+    d = np.zeros(matrix.m)
     rel_change = 0.0
     stop_reason = "cap"
     for outer in range(1, params.max_outer + 1):
         w = _shrink(Du - s, 1.0 / beta)
-        u_prev = u
-        u, Au = u_step(beta * _grad_t(w + s) + mu * ((bvec + l) @ A).reshape(side, side))
-        if not np.all(np.isfinite(u)):
+        r = bvec - d  # b + l
+        uhat_prev = uhat
+        uhat, d = u_step(w + s, r)
+        if not np.all(np.isfinite(uhat)):
             raise CodecError("non-finite-value",
                              f"solver diverged at outer iteration {outer}; reduce the penalties")
-        rel_change = float(np.linalg.norm(u - u_prev)) \
-            / max(float(np.linalg.norm(u_prev)), _REL_FLOOR)
+        rel_change = float(np.linalg.norm(uhat - uhat_prev)) \
+            / max(float(np.linalg.norm(uhat_prev)), _REL_FLOOR)
+        u = V @ uhat @ V.T
         if rel_change < params.outer_tol:
             stop_reason = "tolerance"
             break
         Du = _grad(u)
         s = s - (Du - w)
-        l = l - (Au - bvec)
     return SolverResult(
         u=scale * u,
         outer_iterations=outer,
-        final_fidelity=scale * float(np.linalg.norm(Au - bvec)),
+        final_fidelity=scale * float(np.linalg.norm(r + d - bvec)),
         final_rel_change=rel_change,
         stop_reason=stop_reason,
     )

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import ubss_codec.codec as codec_mod
+import ubss_codec.mixing as mixing_mod
 import ubss_codec.tv as tv_mod
 from ubss_codec import (Bitstream, CodecConfig, CodecError, Frame,
                         SolverParams, decode_sequence, encode_sequence,
@@ -154,6 +155,29 @@ def test_encoder_holds_one_residual_at_a_time(monkeypatch):
     frames = moving_square(64, 48, 10, square=16, start_x=4)
     encode_sequence(frames, CodecConfig(sampling_rate=0.25, seed=3))
     assert live["max"] == 1
+
+
+def test_pipeline_calls_the_hooked_names(monkeypatch):
+    # perfbench times the pipeline by wrapping ubss_codec.tv.solve_tv and
+    # StreamAccumulator.finish; a wrapped name the pipeline stops calling
+    # leaves its metrics empty, so the call counts are fixed here
+    calls = {"solve_tv": 0, "finish": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(tv_mod, "solve_tv", counted("solve_tv", tv_mod.solve_tv))
+    monkeypatch.setattr(mixing_mod.StreamAccumulator, "finish",
+                        counted("finish", mixing_mod.StreamAccumulator.finish))
+    frames = moving_square(64, 48, 12, square=16, start_x=4)
+    stream = encode_sequence(frames, CodecConfig(sampling_rate=0.25, seed=3))
+    assert stream.num_gops == 2 and stream.grid.num_blocks == 12
+    assert calls == {"solve_tv": 0, "finish": 2}
+    decode_sequence(stream)
+    assert calls == {"solve_tv": 2 * 12, "finish": 2}
 
 
 def _header_fields(**changes):

@@ -196,12 +196,11 @@ def test_surrogate_gradient_matches_central_differences():
 
 
 def _surrogate(A, side, seed):
-    """A side x side instance of the u-step for the m x side^2 matrix A: (rhs, u0, grad Q).
+    """A side x side instance of the u-step for the m x side^2 matrix A: (ws, bl, u0, grad Q).
 
     Q(u) = beta/2 |D u - w - s|^2 + mu/2 |A u - b - l|^2 at the default
-    penalties; w, s and b, l enter Q only as the sums w + s and b + l, which
-    are drawn at random, and rhs = beta D^T (w + s) + mu A^T (b + l) is the
-    right-hand side of the u-step's system H u = rhs.
+    penalties; w, s and b, l enter Q only as the sums ws = w + s and
+    bl = b + l, which are drawn at random and are the u-step's (t, r).
     """
     rng = np.random.default_rng(seed)
     beta, mu = SolverParams().beta, SolverParams().mu
@@ -212,8 +211,7 @@ def _surrogate(A, side, seed):
         return beta * _grad_t(_grad(u) - ws) \
             + mu * (A.T @ (A @ u.ravel() - bl)).reshape(side, side)
 
-    rhs = beta * _grad_t(ws) + mu * (A.T @ bl).reshape(side, side)
-    return rhs, rng.normal(size=(side, side)), grad
+    return ws, bl, rng.normal(size=(side, side)), grad
 
 
 # the 1 x 1 case, odd sides and even sides up to 8
@@ -230,27 +228,34 @@ def _u_step_instances(side):
         yield seed, rng.normal(size=(1, k))
 
 
+def _u_step(A, side, t, r):
+    """(u, A u) from the u-step for (t, r): u = V u^ V^T and A u = r + d."""
+    step = _UStep(A, side, SolverParams().beta, SolverParams().mu)
+    uhat, d = step(t, r)
+    return step.V @ uhat @ step.V.T, r + d
+
+
 def test_u_step_lands_on_q_minimizer():
     # the exact u-step zeroes Q's gradient to rounding and agrees with a dense
-    # solve of H u = rhs, H built from the entry-by-entry stencil matrix
+    # solve of H u = beta D^T t + mu A^T r, D the entry-by-entry stencil matrix
     beta, mu = SolverParams().beta, SolverParams().mu
     for side in _U_STEP_SIDES:
         D = _dense_gradient_matrix(side, side)
         for seed, A in _u_step_instances(side):
-            rhs, u0, grad = _surrogate(A, side, seed)
-            u, _ = _UStep(A, side, beta, mu)(rhs)
+            ws, bl, u0, grad = _surrogate(A, side, seed)
+            u, _ = _u_step(A, side, ws, bl)
             assert np.linalg.norm(grad(u)) <= 1e-9 * np.linalg.norm(grad(u0))
-            dense = np.linalg.solve(beta * D.T @ D + mu * A.T @ A, rhs.ravel())
+            rhs = beta * D.T @ ws.reshape(-1) + mu * A.T @ bl
+            dense = np.linalg.solve(beta * D.T @ D + mu * A.T @ A, rhs)
             assert np.linalg.norm(u.ravel() - dense) <= 1e-9 * np.linalg.norm(dense)
 
 
 def test_u_step_returns_a_u():
-    # A u comes from the Woodbury solve, not from a product with A
-    beta, mu = SolverParams().beta, SolverParams().mu
+    # A u = r + d comes from the Woodbury solve, not from a product with A
     for side in _U_STEP_SIDES:
         for seed, A in _u_step_instances(side):
-            rhs, _, _ = _surrogate(A, side, seed)
-            u, Au = _UStep(A, side, beta, mu)(rhs)
+            ws, bl, _, _ = _surrogate(A, side, seed)
+            u, Au = _u_step(A, side, ws, bl)
             assert np.linalg.norm(Au - A @ u.ravel()) <= 1e-9 * np.linalg.norm(A @ u.ravel())
 
 
@@ -350,32 +355,59 @@ def test_stop_reason_zero_input():
 
 
 class _CountedMatrix(np.ndarray):
-    """An array that counts the products it takes part in through `@`."""
+    """An array that counts, per subclass, the products it takes part in through `@`."""
 
     products = 0
 
     def __matmul__(self, other):
-        _CountedMatrix.products += 1
+        type(self).products += 1
         return np.asarray(self) @ np.asarray(other)
 
     def __rmatmul__(self, other):
-        _CountedMatrix.products += 1
+        type(self).products += 1
         return np.asarray(other) @ np.asarray(self)
 
 
-def test_outer_iteration_takes_three_products_with_a():
-    # the warm start u = A^T b takes one product; each outer iteration takes
-    # A^T (b + l), A z and A^T y, and gets A u without a product
+class _CountedA(_CountedMatrix):
+    products = 0
+
+
+class _CountedAhat(_CountedMatrix):
+    products = 0
+
+
+def test_outer_iteration_takes_two_products_with_spectral_copy():
+    # once the u-step is built, a solve never touches A: the warm start takes
+    # one product with the cached spectral copy Ahat, each outer iteration
+    # takes Ahat z and e Ahat
     img = _square_image(16, 3, 10, 80.0)
     entries = gen_mixing_matrix(5, 64, 256).entries
-    matrix = MixingMatrix(seed=None, m=64, k=256, entries=entries.view(_CountedMatrix))
+    matrix = MixingMatrix(seed=None, m=64, k=256, entries=entries.view(_CountedA))
     b = MeasurementVector((0, 0), entries @ img.ravel())
     solve_tv(matrix, b, 16)  # builds and caches the u-step
+    (u_step,) = matrix._solver_cache.values()
+    u_step.Ahat = u_step.Ahat.view(_CountedAhat)
     for outer in (1, 2, 10):
-        _CountedMatrix.products = 0
+        _CountedA.products = _CountedAhat.products = 0
         res = solve_tv(matrix, b, 16, SolverParams(max_outer=outer, outer_tol=1e-300))
         assert res.outer_iterations == outer and res.stop_reason == "cap"
-        assert _CountedMatrix.products == 1 + 3 * outer
+        assert _CountedA.products == 0
+        assert _CountedAhat.products == 1 + 2 * outer
+
+
+def test_final_fidelity_is_measurement_misfit_of_result():
+    # final_fidelity is |A u - b| of the returned u, on a tolerance stop and
+    # on cap stops, where the multiplier update follows the last u-step
+    img = _square_image(16, 3, 10, 80.0)
+    matrix = gen_mixing_matrix(5, 128, 256)
+    b = MeasurementVector((0, 0), matrix.entries @ img.ravel())
+    for params, reason in ((SolverParams(), "tolerance"),
+                           (SolverParams(max_outer=1), "cap"),
+                           (SolverParams(max_outer=3), "cap")):
+        res = solve_tv(matrix, b, 16, params)
+        assert res.stop_reason == reason
+        misfit = np.linalg.norm(matrix.entries @ res.u.ravel() - b.values)
+        assert abs(res.final_fidelity - misfit) <= 1e-9 * misfit
 
 
 def test_solve_refuses_matrix_blind_to_constants():
