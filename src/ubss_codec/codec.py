@@ -48,9 +48,9 @@ MAX_MATRIX_BYTES = 256 * 2 ** 20
 # for: the decoder's TV u-step takes dense products of side x side matrices,
 # which MAX_MATRIX_BYTES does not bound. 128 is the side of n = 16 at block
 # 32, the largest any test builds. The u-step's other state is an m x k
-# float64 copy of the matrix in the DCT basis, the matrix's own bytes, and an
-# (m+1) x (m+1) float64 matrix of at most (m+1)^2 * 8 bytes, about as many
-# again since m <= k: with the matrix, about 3 times its bytes per stream.
+# float64 copy of the matrix in the DCT basis, the matrix's own bytes, and
+# the m x m float64 eigenbasis Q of m^2 * 8 bytes, at most as many again
+# since m <= k: with the matrix, about 3 times its bytes per stream.
 MAX_COMPOSITE_SIDE = 128
 
 

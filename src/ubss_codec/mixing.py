@@ -63,16 +63,16 @@ class MixingMatrix:
 
     `seed` is None only for matrices that bypass the generator (the identity
     constructor below); such matrices cannot appear in a bitstream. The
-    solver caches what it derives from the entries (the TV u-step's factors)
-    on the matrix, so it is freed with it; entries must not change after the
-    first solve.
+    solver caches the TV u-step's factor, which depends on the entries alone
+    and serves every penalty, on the matrix, so it is freed with it; entries
+    must not change after the first solve.
     """
 
     seed: int | None
     m: int
     k: int
     entries: np.ndarray
-    _solver_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _solver_cache: object = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def identity(cls, k: int) -> "MixingMatrix":

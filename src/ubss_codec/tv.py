@@ -18,32 +18,29 @@ Neumann Laplacian, L's eigenbasis V, the DCT-II basis in closed form,
 diagonalizes D^T D (as the FFT does under a periodic boundary in FTVd; Wang,
 Yang, Yin & Zhang 2008): a raster x has spectral coefficients x^ = V^T x V.
 Its null space is the constant unit image q, x^ = delta_0, so
-M = beta D^T D + gamma q q^T (gamma = beta) is diagonal there, with
-eigenvalues eig. H is M plus a correction of rank m + 1, H = M + U^T C U with
-U = [A; q^T] and C = diag(mu I, -gamma). As mu A^T r = U^T C [r; 0], the
-Woodbury identity gives
+M = beta (D^T D + q q^T) is diagonal there, with eigenvalues beta eig
+(eig_00 = 1). H is M plus a correction of rank m + 1, H = M + U^T C U with
+U = [A; q^T] and C = diag(mu I, -beta). With Ahat = A (V (x) V) eig^-1/2,
+the m x k spectral copy of A, and G = Ahat Ahat^T, the Woodbury identity's
+S = C^-1 + U M^-1 U^T is [[G + rho I, A q], [q^T A^T, 0]] / beta for
+rho = beta/mu: the penalties enter it only as scalars, so one
+eigendecomposition G = Q diag(lam) Q^T serves every penalty. In G's
+eigenbasis, with At = Q^T Ahat, h = At[:, 0] = Q^T A q, delta = 1/(lam + rho)
+and p = (V^T D^T t V) / eig^1/2 (p_00 = (D q)^T t = 0), the u-step is
 
-    u = z - M^-1 U^T e,  z = M^-1 beta D^T t,  e = S^-1 [A z - r; q^T z],
-    S = C^-1 + U M^-1 U^T,
+    x = At p - Q^T r,  gamma = h^T delta x / h^T delta h,
+    a = delta (x - h gamma),  u^ = (p - At^T a - gamma delta_0) / eig^1/2,
 
-and U u = [r; 0] + C^-1 e, so A u = r + e[:m] / mu. S^-1 is (m+1) x (m+1)
-and depends only on A, side, beta and mu. So does Ahat = A (V (x) V) eig^-1/2,
-the m x k spectral copy of A that S is built from, A M^-1 A^T = Ahat Ahat^T.
-solve_tv builds both (_UStep) on the first solve with a matrix and penalties
-and caches them on the MixingMatrix. In the weighted coefficients
-v^ = eig^1/2 u^, with z^ = beta (V^T D^T t V) / eig, the u-step is
-
-    e = S^-1 [Ahat (eig^1/2 z^) - r; z^_0],
-    v^ = eig^1/2 z^ - Ahat^T e[:m] - (e[m] / beta^1/2) delta_0,
-
-two products with Ahat, two side x side products for V^T D^T t V and none
-with A. The solver iterates on u^ = v^ / eig^1/2 and forms u = V u^ V^T
-(two side x side products) only for D u and the result; as V is
-orthonormal, |u^| = |u| for the relative change. The multiplier update
-lambda <- lambda - mu (A u - b) becomes l <- -e[:m] / mu for l = lambda/mu,
-so r = b - e[:m] / mu is the only measurement-side state, and A u - b =
-e[:m] / mu + r - b gives the final fidelity. The warm start u = A^T b is
-u^ = eig^1/2 (Ahat^T b).
+two products with At, two side x side products for V^T D^T t V and none
+with A; A u = r + rho Q a. _UStep holds V, eig^1/2, Q, lam and At; solve_tv
+builds it on the first solve with a matrix, caches it on the MixingMatrix,
+and forms rho and delta once per call. The solver iterates on u^ and forms
+u = V u^ V^T (two side x side products) only for D u and the result; as V
+is orthonormal, |u^| = |u| for the relative change. The multiplier update
+lambda <- lambda - mu (A u - b) becomes l <- -rho Q a for l = lambda/mu, so
+the measurement side runs in G's eigenbasis: b' = Q^T b once per call,
+d = rho a and r' = b' - d per iteration, and |A u - b| = |r' + d - b'| is
+the final fidelity. The warm start u = A^T b is u^ = eig^1/2 (At^T b').
 
 The solver is fully deterministic: no randomized steps, fixed summation order.
 """
@@ -70,10 +67,11 @@ class SolverParams:
 
     mu and beta weigh the measurement and gradient constraints; the solver
     stops when an outer iteration changes u by less than outer_tol
-    (relative) or after max_outer outer iterations. Each outer iteration
-    solves its u-subproblem exactly, so max_inner has no effect: it is still
-    accepted, and must not be negative, so that callers written for the
-    earlier iterative u-step keep working. Defaults are the values the
+    (relative) or after max_outer outer iterations; all three are positive
+    and finite, the caps integers. Each outer iteration solves its
+    u-subproblem exactly, so max_inner has no effect: it is still accepted,
+    and must not be negative, so that callers written for the earlier
+    iterative u-step keep working. Defaults are the values the
     acceptance harness runs at; they suit 8-bit scale imagery.
     """
 
@@ -84,12 +82,11 @@ class SolverParams:
     max_inner: int = 5
 
     def __post_init__(self):
-        if self.mu <= 0 or self.beta <= 0:
-            raise CodecError("invalid-solver-params", "mu and beta must be positive")
-        if self.outer_tol <= 0:
-            raise CodecError("invalid-solver-params", "outer_tol must be positive")
-        if self.max_outer < 1 or self.max_inner < 0:
-            raise CodecError("invalid-solver-params", "iteration caps out of range")
+        if not all(0 < v < math.inf for v in (self.mu, self.beta, self.outer_tol)):
+            raise CodecError("invalid-solver-params", "mu, beta, outer_tol must be finite and > 0")
+        if not all(isinstance(v, (int, np.integer)) for v in (self.max_outer, self.max_inner)) \
+                or self.max_outer < 1 or self.max_inner < 0:
+            raise CodecError("invalid-solver-params", "iteration caps must be integers in range")
 
 
 @dataclass
@@ -184,57 +181,59 @@ def shrink2(v: GradientField, t: float) -> GradientField:
 
 
 class _UStep:
-    """The exact u-step for one matrix A, side, beta and mu, in L's eigenbasis.
+    """The exact u-step's factor for one matrix A and side, the same for every beta and mu.
 
     Holds V (L's closed-form DCT-II eigenbasis, with V[:, 0] = 1/sqrt(side)
-    and its eigenvalue 0 exact), root = eig^1/2 (M's eigenvalues in the basis
-    V (x) V, gamma = beta along q), Ahat = A (V (x) V) eig^-1/2, the m x k
-    spectral copy of A, and S^-1, which takes (m+1)^2 float64. It keeps no
-    reference to A: an outer iteration reads only Ahat.
+    and its eigenvalue 0 exact), root = eig^1/2 (M's eigenvalues over beta in
+    the basis V (x) V, 1 along q), Q and lam, the eigendecomposition of
+    G = Ahat Ahat^T for Ahat = A (V (x) V) eig^-1/2, At = Q^T Ahat, the m x k
+    spectral copy of A in G's eigenbasis, and h = At[:, 0] = Q^T A q. Q takes
+    m^2 float64. It keeps no reference to A: an outer iteration reads only At.
     """
 
-    def __init__(self, A, side, beta, mu):
+    def __init__(self, A, side):
         j = np.arange(side)
         V = math.sqrt(2 / side) * np.cos(np.pi * np.outer(j + 0.5, j) / side)
         V[:, 0] = side ** -0.5
-        lam = 2 - 2 * np.cos(np.pi * j / side)
-        eig = beta * (lam[:, None] + lam[None, :])
-        eig[0, 0] = beta  # gamma, M's eigenvalue along q
-        root = np.sqrt(eig)
-        m = len(A)
-        # each row of Ahat is V^T A_i V scaled, so that A M^-1 A^T = Ahat Ahat^T
-        Ahat = A.reshape(m, side, side) @ V
-        for row in Ahat:
+        lap = 2 - 2 * np.cos(np.pi * j / side)  # L's eigenvalues
+        root = np.sqrt(lap[:, None] + lap[None, :])
+        root[0, 0] = 1.0  # M's eigenvalue along q is beta
+        # each row of Ahat is V^T A_i V scaled, so that A M^-1 A^T = Ahat Ahat^T / beta
+        At = A.reshape(-1, side, side) @ V
+        for row in At:
             row[...] = V.T @ row
-        Ahat /= root
-        Ahat = Ahat.reshape(m, side * side)
-        S = np.empty((m + 1, m + 1))
-        S[:m, :m] = Ahat @ Ahat.T
-        S[np.diag_indices(m)] += 1.0 / mu
-        # A M^-1 q = A q / gamma, q being the first image of the basis V (x) V
-        S[:m, m] = S[m, :m] = Ahat[:, 0] / root[0, 0]
-        S[m, m] = 0.0  # -1/gamma + q^T M^-1 q
-        try:
-            self.S_inv = np.linalg.inv(S)
-        except np.linalg.LinAlgError:
-            raise CodecError("singular-matrix", "A maps the constant image to zero: "
-                             "the u-step has no unique solution") from None
-        self.Ahat, self.V, self.root, self.mu = Ahat, V, root, mu
-        self.gain = beta / root  # z^ eig^1/2 = (V^T D^T t V) beta / eig^1/2
+        At /= root
+        At = At.reshape(len(A), side * side)
+        G = At @ At.T
+        if not np.all(np.isfinite(G)):
+            raise CodecError("non-finite-value", "A has a non-finite or huge entry")
+        self.lam, Q = np.linalg.eigh(G)
+        del G  # the build's peak is At, G and Q
+        # At <- Q^T At in place, m columns at a time: each copy is no larger than G was
+        for col in range(0, side * side, len(Q)):
+            At[:, col:col + len(Q)] = Q.T @ At[:, col:col + len(Q)]
+        self.h = At[:, 0].copy()
+        if not self.h.any():
+            raise CodecError("singular-matrix", "A maps constant images to zero: no unique u-step")
+        self.At, self.Q, self.V, self.root = At, Q, V, root
 
-    def __call__(self, t, r):
-        """(u^, d) for the minimizer u = V u^ V^T of Q with w + s = t, b + l = r; d = A u - r.
+    def weights(self, rho):
+        """The u-step's terms in rho = beta/mu: rho, delta = 1/(lam + rho), delta h, h^T delta h."""
+        delta = 1.0 / (self.lam + rho)
+        return rho, delta, delta * self.h, float(self.h @ (delta * self.h))
 
-        Two products with Ahat and none with A.
+    def __call__(self, t, r, rho, delta, dh, hdh):
+        """(u^, d) for the minimizer u = V u^ V^T of Q with w + s = t, b + l = Q r; Q d = A u - Q r.
+
+        The last four arguments are self.weights(beta / mu). Two products
+        with At and none with A.
         """
-        V, Ahat, root = self.V, self.Ahat, self.root
-        m, side = len(Ahat), len(V)
-        z = (V.T @ _grad_t(t) @ V) * self.gain
-        e = self.S_inv @ np.append(Ahat @ z.ravel() - r, z[0, 0] / root[0, 0])
-        v = z - (e[:m] @ Ahat).reshape(side, side)
-        v[0, 0] -= e[m] / root[0, 0]
-        v /= root
-        return v, e[:m] / self.mu
+        p = (self.V.T @ _grad_t(t) @ self.V) / self.root
+        x = self.At @ p.ravel() - r
+        gamma = dh @ x / hdh
+        a = delta * x - dh * gamma
+        p[0, 0] -= gamma
+        return (p - (a @ self.At).reshape(p.shape)) / self.root, rho * a
 
 
 def solve_tv(matrix: MixingMatrix, b: MeasurementVector, side: int,
@@ -255,20 +254,21 @@ def solve_tv(matrix: MixingMatrix, b: MeasurementVector, side: int,
     if not raw.any():
         return SolverResult(u=np.zeros((side, side)), outer_iterations=1,
                             final_fidelity=0.0, final_rel_change=0.0, stop_reason="zero-input")
-    mu, beta = params.mu, params.beta
-    cache = matrix._solver_cache
-    if (beta, mu) not in cache:
-        cache[beta, mu] = _UStep(matrix.entries, side, beta, mu)
-    u_step = cache[beta, mu]
-    V = u_step.V
-
-    scale = float(np.linalg.norm(raw)) / math.sqrt(matrix.m)
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        scale = float(np.linalg.norm(raw)) / math.sqrt(matrix.m)
+    if not math.isfinite(scale):
+        raise CodecError("non-finite-value", "the measurements' norm overflows float64")
     if scale == 0.0:
         scale = 1.0
-    bvec = raw / scale
+    if matrix._solver_cache is None:
+        matrix._solver_cache = _UStep(matrix.entries, side)
+    u_step = matrix._solver_cache
+    weights = u_step.weights(params.beta / params.mu)
+    V = u_step.V
+    bvec = (raw / scale) @ u_step.Q  # b' = Q^T b: r and d live in G's eigenbasis too
 
     # u^ = V^T u V, the spectral coefficients of u; the warm start is u = A^T b
-    uhat = (bvec @ u_step.Ahat).reshape(side, side) * u_step.root
+    uhat = (bvec @ u_step.At).reshape(side, side) * u_step.root
     u = V @ uhat @ V.T
     Du = _grad(u)
     # s = nu/beta, the scaled gradient-split multiplier (dx, dy stacked like
@@ -278,10 +278,10 @@ def solve_tv(matrix: MixingMatrix, b: MeasurementVector, side: int,
     rel_change = 0.0
     stop_reason = "cap"
     for outer in range(1, params.max_outer + 1):
-        w = _shrink(Du - s, 1.0 / beta)
+        w = _shrink(Du - s, 1.0 / params.beta)
         r = bvec - d  # b + l
         uhat_prev = uhat
-        uhat, d = u_step(w + s, r)
+        uhat, d = u_step(w + s, r, *weights)
         if not np.all(np.isfinite(uhat)):
             raise CodecError("non-finite-value",
                              f"solver diverged at outer iteration {outer}; reduce the penalties")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from ubss_codec import (CodecError, CompositeBlock, GradientField,
                         MeasurementVector, MixingMatrix, SolverParams,
                         decode_composite, divergence_adjoint, forward_diff,
                         gen_mixing_matrix, mix_batch, shrink2, solve_tv)
+from ubss_codec import tv as tv_mod
 from ubss_codec.tv import _grad, _grad_t, _UStep
 
 from reference_tv import psnr_vs, tv_subgradient_reference
@@ -195,15 +198,14 @@ def test_surrogate_gradient_matches_central_differences():
         assert np.max(np.abs(analytic.ravel() - numeric)) / scale <= 1e-5
 
 
-def _surrogate(A, side, seed):
+def _surrogate(A, side, seed, beta, mu):
     """A side x side instance of the u-step for the m x side^2 matrix A: (ws, bl, u0, grad Q).
 
-    Q(u) = beta/2 |D u - w - s|^2 + mu/2 |A u - b - l|^2 at the default
-    penalties; w, s and b, l enter Q only as the sums ws = w + s and
-    bl = b + l, which are drawn at random and are the u-step's (t, r).
+    Q(u) = beta/2 |D u - w - s|^2 + mu/2 |A u - b - l|^2; w, s and b, l
+    enter Q only as the sums ws = w + s and bl = b + l, which are drawn at
+    random and are the u-step's (t, r).
     """
     rng = np.random.default_rng(seed)
-    beta, mu = SolverParams().beta, SolverParams().mu
     ws = rng.normal(size=(2, side, side))
     bl = rng.normal(size=len(A))
 
@@ -216,6 +218,8 @@ def _surrogate(A, side, seed):
 
 # the 1 x 1 case, odd sides and even sides up to 8
 _U_STEP_SIDES = (1, 2, 3, 4, 8)
+# (beta, mu): the defaults, beta far above mu and mu far above beta
+_PENALTIES = ((2.0 ** 5, 2.0 ** 8), (2.0 ** 8, 2.0 ** 2), (1.0, 2.0 ** 12))
 
 
 def _u_step_instances(side):
@@ -228,35 +232,71 @@ def _u_step_instances(side):
         yield seed, rng.normal(size=(1, k))
 
 
-def _u_step(A, side, t, r):
-    """(u, A u) from the u-step for (t, r): u = V u^ V^T and A u = r + d."""
-    step = _UStep(A, side, SolverParams().beta, SolverParams().mu)
-    uhat, d = step(t, r)
-    return step.V @ uhat @ step.V.T, r + d
+def _u_step(A, side, t, r, beta, mu):
+    """(u, A u) from the u-step for (t, r): u = V u^ V^T and A u = r + Q d.
+
+    The u-step takes r and returns d in the eigenbasis Q of its factor.
+    """
+    step = _UStep(A, side)
+    uhat, d = step(t, r @ step.Q, *step.weights(beta / mu))
+    return step.V @ uhat @ step.V.T, r + step.Q @ d
 
 
 def test_u_step_lands_on_q_minimizer():
     # the exact u-step zeroes Q's gradient to rounding and agrees with a dense
     # solve of H u = beta D^T t + mu A^T r, D the entry-by-entry stencil matrix
-    beta, mu = SolverParams().beta, SolverParams().mu
-    for side in _U_STEP_SIDES:
-        D = _dense_gradient_matrix(side, side)
-        for seed, A in _u_step_instances(side):
-            ws, bl, u0, grad = _surrogate(A, side, seed)
-            u, _ = _u_step(A, side, ws, bl)
-            assert np.linalg.norm(grad(u)) <= 1e-9 * np.linalg.norm(grad(u0))
-            rhs = beta * D.T @ ws.reshape(-1) + mu * A.T @ bl
-            dense = np.linalg.solve(beta * D.T @ D + mu * A.T @ A, rhs)
-            assert np.linalg.norm(u.ravel() - dense) <= 1e-9 * np.linalg.norm(dense)
+    for beta, mu in _PENALTIES:
+        for side in _U_STEP_SIDES:
+            D = _dense_gradient_matrix(side, side)
+            for seed, A in _u_step_instances(side):
+                ws, bl, u0, grad = _surrogate(A, side, seed, beta, mu)
+                u, _ = _u_step(A, side, ws, bl, beta, mu)
+                assert np.linalg.norm(grad(u)) <= 1e-9 * np.linalg.norm(grad(u0))
+                rhs = beta * D.T @ ws.reshape(-1) + mu * A.T @ bl
+                dense = np.linalg.solve(beta * D.T @ D + mu * A.T @ A, rhs)
+                assert np.linalg.norm(u.ravel() - dense) <= 1e-9 * np.linalg.norm(dense)
 
 
 def test_u_step_returns_a_u():
-    # A u = r + d comes from the Woodbury solve, not from a product with A
-    for side in _U_STEP_SIDES:
-        for seed, A in _u_step_instances(side):
-            ws, bl, _, _ = _surrogate(A, side, seed)
-            u, Au = _u_step(A, side, ws, bl)
-            assert np.linalg.norm(Au - A @ u.ravel()) <= 1e-9 * np.linalg.norm(A @ u.ravel())
+    # A u = r + Q d comes from the Woodbury solve, not from a product with A
+    for beta, mu in _PENALTIES:
+        for side in _U_STEP_SIDES:
+            for seed, A in _u_step_instances(side):
+                ws, bl, _, _ = _surrogate(A, side, seed, beta, mu)
+                u, Au = _u_step(A, side, ws, bl, beta, mu)
+                assert np.linalg.norm(Au - A @ u.ravel()) <= 1e-9 * np.linalg.norm(A @ u.ravel())
+
+
+def test_one_u_step_factor_serves_every_penalty(monkeypatch):
+    # the factor depends on A and the side only: solves at other penalties
+    # reuse the one built by the first solve with the matrix
+    builds = []
+
+    class Counted(tv_mod._UStep):
+        def __init__(self, *args):
+            builds.append(args[1:])
+            super().__init__(*args)
+
+    monkeypatch.setattr(tv_mod, "_UStep", Counted)
+    img = _square_image(16, 3, 10, 80.0)
+    matrix = gen_mixing_matrix(5, 64, 256)
+    b = MeasurementVector((0, 0), matrix.entries @ img.ravel())
+    for beta, mu in _PENALTIES:
+        solve_tv(matrix, b, 16, SolverParams(beta=beta, mu=mu, max_outer=5))
+    assert len(builds) == 1
+
+
+def test_u_step_factor_build_memory():
+    # the build holds the m x k spectral copy, G and Q: rotating the copy by Q
+    # a block of columns at a time keeps the peak near 1.5 times the matrix
+    entries = gen_mixing_matrix(9, 256, 1024).entries
+    tracemalloc.start()
+    try:
+        _UStep(entries, 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * entries.nbytes
 
 
 # --- solve_tv ---------------------------------------------------------------
@@ -372,27 +412,27 @@ class _CountedA(_CountedMatrix):
     products = 0
 
 
-class _CountedAhat(_CountedMatrix):
+class _CountedAt(_CountedMatrix):
     products = 0
 
 
 def test_outer_iteration_takes_two_products_with_spectral_copy():
     # once the u-step is built, a solve never touches A: the warm start takes
-    # one product with the cached spectral copy Ahat, each outer iteration
-    # takes Ahat z and e Ahat
+    # one product with the cached spectral copy At, each outer iteration
+    # takes At p and a At
     img = _square_image(16, 3, 10, 80.0)
     entries = gen_mixing_matrix(5, 64, 256).entries
     matrix = MixingMatrix(seed=None, m=64, k=256, entries=entries.view(_CountedA))
     b = MeasurementVector((0, 0), entries @ img.ravel())
     solve_tv(matrix, b, 16)  # builds and caches the u-step
-    (u_step,) = matrix._solver_cache.values()
-    u_step.Ahat = u_step.Ahat.view(_CountedAhat)
+    u_step = matrix._solver_cache
+    u_step.At = u_step.At.view(_CountedAt)
     for outer in (1, 2, 10):
-        _CountedA.products = _CountedAhat.products = 0
+        _CountedA.products = _CountedAt.products = 0
         res = solve_tv(matrix, b, 16, SolverParams(max_outer=outer, outer_tol=1e-300))
         assert res.outer_iterations == outer and res.stop_reason == "cap"
         assert _CountedA.products == 0
-        assert _CountedAhat.products == 1 + 2 * outer
+        assert _CountedAt.products == 1 + 2 * outer
 
 
 def test_final_fidelity_is_measurement_misfit_of_result():
@@ -434,10 +474,25 @@ def test_solve_flags_non_finite_inputs():
 
 
 def test_solver_params_validation():
-    with pytest.raises(CodecError):
-        SolverParams(mu=0.0)
-    with pytest.raises(CodecError):
-        SolverParams(outer_tol=0.0)
+    for bad in (dict(mu=0.0), dict(outer_tol=0.0), dict(mu=np.inf), dict(beta=np.inf),
+                dict(beta=np.nan), dict(mu=np.nan), dict(outer_tol=np.nan),
+                dict(outer_tol=np.inf), dict(max_outer=2.5), dict(max_outer=3.0),
+                dict(max_inner=0.5), dict(max_outer=0), dict(max_inner=-1)):
+        with pytest.raises(CodecError) as e:
+            SolverParams(**bad)
+        assert e.value.code == "invalid-solver-params", bad
+    SolverParams(max_outer=np.int64(3), max_inner=0)
+
+
+def test_solve_refuses_measurements_whose_norm_overflows():
+    # finite measurements whose norm overflows float64 cannot be normalized
+    matrix = gen_mixing_matrix(3, 16, 64)
+    with pytest.raises(CodecError) as e:
+        solve_tv(matrix, MeasurementVector((0, 0), np.full(16, 1e155)), 8)
+    assert e.value.code == "non-finite-value"
+    # measurements whose norm underflows to 0 solve with the scale left at 1
+    res = solve_tv(matrix, MeasurementVector((0, 0), np.full(16, 5e-324)), 8)
+    assert np.all(np.abs(res.u) <= 1e-300)
 
 
 # --- decode_composite -------------------------------------------------------
