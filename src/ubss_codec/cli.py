@@ -7,9 +7,10 @@ import csv
 import sys
 import time
 
-from .codec import Bitstream, CodecConfig, decode_sequence, encode_sequence, rate_report
+from .codec import (MEASUREMENT_FORMATS, Bitstream, CodecConfig, decode_sequence,
+                    encode_sequence, rate_report)
 from .errors import CodecError
-from .frames import load_raw_sequence, mean_coded_psnr, save_frame_pgm
+from .frames import RAW_FORMATS, load_raw_sequence, mean_coded_psnr, save_frame_pgm
 from .synthetic import moving_square
 
 SWEEP_COLUMNS = ["sequence", "rate", "block_size", "mode", "psnr_db",
@@ -19,6 +20,7 @@ BLOCKSTUDY_COLUMNS = ["sequence", "rate", "block_size", "composite_side", "psnr_
                       "decode_s_per_composite", "decode_s", "composites"]
 
 SYNTHETIC_INPUT = "moving-square"
+MODES = ("residual", "nonresidual")
 
 
 def _load_input(args):
@@ -78,25 +80,21 @@ def _run_point(frames, config):
     t0 = time.perf_counter()
     decoded = decode_sequence(stream)
     decode_s = time.perf_counter() - t0
-    mean_psnr = mean_coded_psnr(frames, decoded, config.n)
-    return stream, decoded, mean_psnr, encode_s, decode_s
+    return stream, mean_coded_psnr(frames, decoded, config.n), encode_s, decode_s
 
 
 def cmd_sweep(args) -> int:
     frames = _load_input(args)
-    rates = [float(r) for r in args.rates.split(",") if r]
     modes = [m for m in args.modes.split(",") if m]
     writer = csv.writer(sys.stdout)
     writer.writerow(SWEEP_COLUMNS)
-    for rate in rates:
+    for rate in args.rates:
         for mode in modes:
-            if mode not in ("residual", "nonresidual"):
-                writer.writerow([args.input, rate, args.block_size, mode,
-                                 "error:unknown-mode", "", "", "", ""])
-                continue
             try:
+                if mode not in MODES:
+                    raise CodecError("unknown-mode", mode)
                 config = _config(args, rate=rate, mode=mode)
-                stream, _, mean_psnr, encode_s, decode_s = _run_point(frames, config)
+                stream, mean_psnr, encode_s, decode_s = _run_point(frames, config)
                 report = rate_report(stream)
                 writer.writerow([args.input, rate, args.block_size, mode,
                                  f"{mean_psnr:.4f}", f"{encode_s:.4f}", f"{decode_s:.4f}",
@@ -111,13 +109,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_blockstudy(args) -> int:
     frames = _load_input(args)
-    sizes = [int(s) for s in args.block_sizes.split(",") if s]
     writer = csv.writer(sys.stdout)
     writer.writerow(BLOCKSTUDY_COLUMNS)
-    for size in sizes:
+    for size in args.block_sizes:
         try:
-            config = _config(args, block_size=size)
-            stream, _, mean_psnr, _, decode_s = _run_point(frames, config)
+            stream, mean_psnr, _, decode_s = _run_point(frames, _config(args, block_size=size))
             composites = stream.num_gops * stream.grid.num_blocks
             per_composite = decode_s / composites if composites else 0.0
             writer.writerow([args.input, args.rate, size, stream.composite_side,
@@ -131,8 +127,7 @@ def cmd_blockstudy(args) -> int:
 
 def cmd_timing(args) -> int:
     frames = _load_input(args)
-    config = _config(args)
-    stream, _, mean_psnr, encode_s, decode_s = _run_point(frames, config)
+    _, mean_psnr, encode_s, decode_s = _run_point(frames, _config(args))
     count = len(frames)
     print(f"frames={count}")
     print(f"psnr_db={mean_psnr:.4f}")
@@ -143,13 +138,21 @@ def cmd_timing(args) -> int:
     return 0
 
 
+def _comma_list(item_type):
+    """argparse type: comma-separated item_type values, empty items skipped."""
+    def parse(text):
+        return [item_type(item) for item in text.split(",") if item]
+    parse.__name__ = f"comma-separated {item_type.__name__}"  # argparse names it on error
+    return parse
+
+
 def _add_input_args(p):
     p.add_argument("input",
                    help=f"raw video file, or '{SYNTHETIC_INPUT}' for the built-in sequence")
     p.add_argument("--width", type=int, required=True)
     p.add_argument("--height", type=int, required=True)
     p.add_argument("--frames", type=int, required=True)
-    p.add_argument("--format", choices=["gray8", "yuv420p"], default="gray8")
+    p.add_argument("--format", choices=RAW_FORMATS, default="gray8")
 
 
 def _add_config_args(p, with_rate=True, with_block_size=True, with_mode=True):
@@ -161,8 +164,8 @@ def _add_config_args(p, with_rate=True, with_block_size=True, with_mode=True):
         p.add_argument("--block-size", type=int, default=16, dest="block_size")
     p.add_argument("--seed", type=int, default=1)
     if with_mode:
-        p.add_argument("--mode", choices=["residual", "nonresidual"], default="residual")
-    p.add_argument("--meas", choices=["f32", "q16"], default="f32",
+        p.add_argument("--mode", choices=MODES, default="residual")
+    p.add_argument("--meas", choices=MEASUREMENT_FORMATS, default="f32",
                    help="measurement serialization format")
 
 
@@ -187,15 +190,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="rate-distortion sweep, CSV on stdout")
     _add_input_args(p)
     _add_config_args(p, with_rate=False, with_mode=False)
-    p.add_argument("--rates", required=True, help="comma-separated sampling rates")
+    p.add_argument("--rates", type=_comma_list(float), required=True,
+                   help="comma-separated sampling rates")
     p.add_argument("--modes", default="residual",
-                   help="comma-separated subset of residual,nonresidual")
+                   help=f"comma-separated subset of {','.join(MODES)}")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("blockstudy", help="decode quality/time versus block size, CSV on stdout")
     _add_input_args(p)
     _add_config_args(p, with_block_size=False)
-    p.add_argument("--block-sizes", required=True, dest="block_sizes",
+    p.add_argument("--block-sizes", type=_comma_list(int), required=True, dest="block_sizes",
                    help="comma-separated block sizes")
     p.set_defaults(func=cmd_blockstudy)
 

@@ -16,22 +16,24 @@ Everything the decoder needs to regenerate the mixing matrix is in the header.
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import tv
 from .errors import CodecError
-from .frames import BlockGrid, Frame, ResidualFrame, is_perfect_square, segment_gops
+from .frames import BlockGrid, Frame, is_perfect_square, segment_gops
 from .mixing import (GENERATOR_SPLITMIX64_BOXMULLER, MeasurementVector,
                      StreamAccumulator, compute_residual,
                      disassemble_composite, gen_mixing_matrix)
-from .tv import SolverParams, decode_composite
 
 MAGIC = b"UBS1"
 VERSION = 1
 FLAG_NON_RESIDUAL = 0x01
 FLAG_Q16 = 0x02
+MEASUREMENT_FORMATS = ("f32", "q16")
 
 # The header in wire order, field name -> struct code: the only statement of
 # its layout and of each field's limit. The container writes the _FRAMING
@@ -66,7 +68,9 @@ def _field_max(name: str) -> int:
 
 
 def _check_fits(name: str, value: int) -> None:
-    """Refuse a value that the unsigned header field `name` cannot hold."""
+    """Refuse a value that is not an integer the unsigned header field `name` can hold."""
+    if not isinstance(value, numbers.Integral):
+        raise CodecError("non-integer-field", f"{name}={value!r} is not an integer")
     if not 0 <= value <= _field_max(name):
         raise CodecError("header-field-overflow", f"{name}={value} outside [0, {_field_max(name)}]")
 
@@ -95,15 +99,17 @@ class CodecConfig:
     residual_mode: bool = True
 
     def __post_init__(self):
+        _check_fits("gop_n", self.n)
+        _check_fits("block_size", self.block_size)
         if not is_perfect_square(self.n):
             raise CodecError("n-not-perfect-square", f"n={self.n}")
-        if not (0.0 < self.sampling_rate <= 1.0):
+        if not (isinstance(self.sampling_rate, numbers.Real) and 0.0 < self.sampling_rate <= 1.0):
             raise CodecError("invalid-sampling-rate", f"{self.sampling_rate} not in (0, 1]")
         if self.block_size < 1:
             raise CodecError("invalid-block-size", str(self.block_size))
-        _check_fits("gop_n", self.n)
-        _check_fits("block_size", self.block_size)
-        if self.measurement_format not in ("f32", "q16"):
+        if not isinstance(self.seed, numbers.Integral):
+            raise CodecError("non-integer-field", f"seed={self.seed!r} is not an integer")
+        if self.measurement_format not in MEASUREMENT_FORMATS:
             raise CodecError("unknown-measurement-format", self.measurement_format)
         _check_decoder_work(self.m, self.n, self.block_size)
 
@@ -143,7 +149,8 @@ class Bitstream:
     payload: bytes = field(repr=False)
 
     def __post_init__(self):
-        self.seed &= _field_max("seed")  # modulo 2^64, as the mixing generator reads it
+        if isinstance(self.seed, numbers.Integral):  # modulo 2^64, as the generator reads it
+            self.seed = int(self.seed) & _field_max("seed")  # _validate refuses other seeds
         self.payload = bytes(self.payload)
         self._validate()
 
@@ -286,11 +293,6 @@ def _pack_records(values: np.ndarray, q16: bool) -> bytes:
     return rec.tobytes()
 
 
-def _raw_as_residual(frame: Frame) -> ResidualFrame:
-    # Non-residual ablation: mix the raw frame, i.e. subtract a zero key.
-    return ResidualFrame(frame.pixels.astype(np.int16))
-
-
 def encode_sequence(frames, config: CodecConfig) -> Bitstream:
     """Encode: raw keys, streamed measurement of (residual) frame groups."""
     frames = list(frames)
@@ -303,19 +305,17 @@ def encode_sequence(frames, config: CodecConfig) -> Bitstream:
     gops, trailing = segment_gops(frames, config.n)
     matrix = gen_mixing_matrix(config.seed, config.m, config.k) if gops else None
     q16 = config.measurement_format == "q16"
+    # the non-residual ablation mixes the raw frames, i.e. subtracts an all-zero key
+    zero_key = None if config.residual_mode else Frame(np.zeros((height, width), np.uint8))
 
     payload = bytearray()
     for gop in gops:
         payload += gop.key.pixels.tobytes()
+        key = gop.key if config.residual_mode else zero_key
         acc = StreamAccumulator(matrix, grid, config.n)
         for j, f in enumerate(gop.ubss):
-            if config.residual_mode:
-                residual = compute_residual(f, gop.key)
-            else:
-                residual = _raw_as_residual(f)
-            acc.push(residual, j)
             # streamed-memory contract: never hold more than the current residual
-            del residual
+            acc.push(compute_residual(f, key), j)
         payload += _pack_records(np.stack([mv.values for mv in acc.finish()]), q16)
     for f in trailing:
         payload += f.pixels.tobytes()
@@ -328,27 +328,24 @@ def encode_sequence(frames, config: CodecConfig) -> Bitstream:
                      payload=bytes(payload))
 
 
-def decode_sequence(stream: Bitstream, solver_params: SolverParams | None = None):
+def decode_sequence(stream: Bitstream, solver_params: tv.SolverParams | None = None):
     """Decode every frame: keys verbatim, coded frames via TV separation."""
     if stream.generator_id != GENERATOR_SPLITMIX64_BOXMULLER:
         raise CodecError("unknown-generator", f"generator id {stream.generator_id}")
-    params = solver_params if solver_params is not None else SolverParams()
+    params = solver_params if solver_params is not None else tv.SolverParams()
     matrix = gen_mixing_matrix(stream.seed, stream.m_per_block, stream.k) \
         if stream.num_gops else None
-    grid = stream.grid
-    side = stream.composite_side
-    bs = stream.block_size
-    n = stream.gop_n
+    side, bs, n = stream.composite_side, stream.block_size, stream.gop_n
 
     out = []
     for i in range(stream.num_gops):
         key = stream.gop_key(i)
         recovered = np.zeros((n, stream.height, stream.width))
-        for values, (bx, by) in zip(stream.gop_measurements(i), grid.positions()):
+        for values, (bx, by) in zip(stream.gop_measurements(i), stream.grid.positions()):
             mv = MeasurementVector(grid_position=(bx, by), values=values)
-            block = decode_composite(matrix, mv, side, params)
+            result = tv.solve_tv(matrix, mv, side, params)
             recovered[:, by * bs:(by + 1) * bs, bx * bs:(bx + 1) * bs] = \
-                disassemble_composite(block, n)
+                disassemble_composite(result.u, n)
         del values, mv  # row views that would keep the GOP's measurements alive
         out.append(key)
         # the frames are rebuilt in place, so the GOP's float64 block is the

@@ -40,7 +40,7 @@ def _splitmix64(state: np.ndarray) -> np.ndarray:
 
 
 def _uint64_stream(seed: int, count: int) -> np.ndarray:
-    base = np.uint64(seed & _U64_MASK)
+    base = np.uint64(int(seed) & _U64_MASK)
     idx = np.arange(1, count + 1, dtype=np.uint64)
     return _splitmix64(base + idx * _SM64_GAMMA)
 
@@ -59,25 +59,30 @@ def _standard_normals(seed: int, count: int) -> np.ndarray:
 
 @dataclass
 class MixingMatrix:
-    """Seeded m-by-k Gaussian measurement matrix, entries N(0, 1/m).
+    """An m-by-k measurement matrix: its 2-D entries, of shape (m, k).
 
-    `seed` is None only for matrices that bypass the generator (the identity
-    constructor below); such matrices cannot appear in a bitstream. The
-    solver caches the TV u-step's factor, which depends on the entries alone
-    and serves every penalty, on the matrix, so it is freed with it; entries
-    must not change after the first solve.
+    gen_mixing_matrix draws seeded N(0, 1/m) entries; the identity
+    constructor below bypasses the generator, and such a matrix cannot
+    appear in a bitstream. The solver caches the TV u-step's factor, which
+    depends on the entries alone and serves every penalty, on the matrix, so
+    it is freed with it; entries must not change after the first solve.
     """
 
-    seed: int | None
-    m: int
-    k: int
     entries: np.ndarray
     _solver_cache: object = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if np.ndim(self.entries) != 2:
+            raise CodecError("shape-mismatch",
+                             f"entries must be 2-D, got shape {np.shape(self.entries)}")
+
+    m = property(lambda self: self.entries.shape[0], doc="Rows: measurements per composite.")
+    k = property(lambda self: self.entries.shape[1], doc="Columns: pixels per composite.")
 
     @classmethod
     def identity(cls, k: int) -> "MixingMatrix":
         """Square identity matrix for tests and diagnostics (m = k)."""
-        return cls(seed=None, m=k, k=k, entries=_locked(np.eye(k)))
+        return cls(_locked(np.eye(k)))
 
 
 def gen_mixing_matrix(seed: int, m: int, k: int) -> MixingMatrix:
@@ -85,7 +90,7 @@ def gen_mixing_matrix(seed: int, m: int, k: int) -> MixingMatrix:
     if m < 1 or m > k:
         raise CodecError("invalid-shape", f"need 1 <= m <= k, got m={m} k={k}")
     entries = (_standard_normals(seed, m * k) / math.sqrt(m)).reshape(m, k)
-    return MixingMatrix(seed=seed & _U64_MASK, m=m, k=k, entries=_locked(entries))
+    return MixingMatrix(_locked(entries))
 
 
 def compute_residual(frame: Frame, key: Frame) -> ResidualFrame:
@@ -156,14 +161,14 @@ def assemble_composite(residuals, grid_position, block_size: int) -> CompositeBl
     return CompositeBlock(side=t * bs, values=values, grid_position=(bx, by))
 
 
-def disassemble_composite(block: CompositeBlock, n: int) -> np.ndarray:
-    """Inverse of assemble_composite: split a composite into its (n, bs, bs) tiles."""
+def disassemble_composite(values: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of assemble_composite: split side x side composite values into (n, bs, bs) tiles."""
     if not is_perfect_square(n):
         raise CodecError("n-not-perfect-square", f"n={n}")
-    t = math.isqrt(n)
-    if block.side % t:
-        raise CodecError("shape-mismatch", f"side {block.side} not divisible by {t}")
-    return _split_blocks(block.values, block.side // t)
+    t, side = math.isqrt(n), len(values)
+    if values.shape != (side, side) or side % t:
+        raise CodecError("shape-mismatch", f"composite {values.shape} is not {t} x {t} tiles")
+    return _split_blocks(values, side // t)
 
 
 def mix_batch(matrix: MixingMatrix, block: CompositeBlock) -> MeasurementVector:
@@ -184,7 +189,8 @@ class StreamAccumulator:
 
     Only the running (num_blocks, m) partial sums are held, never a frame
     group: pushing frame j adds A'_j times each of its blocks, where A'_j is
-    the column sub-block of the mixing matrix for composite tile j.
+    the column sub-block of the mixing matrix for composite tile j. finish()
+    consumes the accumulator: it sets partial to None.
     """
 
     def __init__(self, matrix: MixingMatrix, grid: BlockGrid, n: int):
@@ -198,11 +204,10 @@ class StreamAccumulator:
         self.n = n
         self.partial = np.zeros((grid.num_blocks, matrix.m))
         self.frames_pushed = 0
-        self._finished = False
 
     def push(self, residual: ResidualFrame, frame_index_in_group: int) -> None:
         """Fold one residual frame into the partial sums. Frames must arrive in order."""
-        if self._finished:
+        if self.partial is None:
             raise CodecError("accumulator-consumed", "finish() was already called")
         if frame_index_in_group != self.frames_pushed or frame_index_in_group >= self.n:
             raise CodecError("out-of-order-frame",
@@ -221,12 +226,11 @@ class StreamAccumulator:
 
     def finish(self):
         """Return one MeasurementVector per block position; consumes the accumulator."""
-        if self._finished:
+        if self.partial is None:
             raise CodecError("accumulator-consumed", "finish() was already called")
         if self.frames_pushed != self.n:
             raise CodecError("incomplete-group",
                              f"{self.frames_pushed} of {self.n} frames pushed")
-        self._finished = True
         out = [MeasurementVector(grid_position=(bx, by), values=self.partial[i].copy())
                for i, (bx, by) in enumerate(self.grid.positions())]
         self.partial = None

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CodecError
-from .mixing import CompositeBlock, MeasurementVector, MixingMatrix
+from .mixing import MeasurementVector, MixingMatrix
 
 # Relative-change denominator floor.
 _REL_FLOOR = 1e-8
@@ -300,10 +300,3 @@ def solve_tv(matrix: MixingMatrix, b: MeasurementVector, side: int,
         final_rel_change=rel_change,
         stop_reason=stop_reason,
     )
-
-
-def decode_composite(matrix: MixingMatrix, b: MeasurementVector, side: int,
-                     params: SolverParams | None = None) -> CompositeBlock:
-    """Recover a composite block; residual-domain values are left unclamped."""
-    result = solve_tv(matrix, b, side, params)
-    return CompositeBlock(side=side, values=result.u, grid_position=b.grid_position)

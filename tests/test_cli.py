@@ -138,6 +138,17 @@ def test_blockstudy_indivisible_size_marks_error(tmp_path, capsys):
     assert rows[2][4] == "error:dimension-not-divisible"
 
 
+def test_bad_list_value_is_usage_error(capsys):
+    for command, option, value in (("sweep", "--rates", "0.5,abc"),
+                                   ("blockstudy", "--block-sizes", "8,x")):
+        with pytest.raises(SystemExit) as e:
+            main([command, "moving-square", "--width", "32", "--height", "32",
+                  "--frames", "5", option, value])
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert option in err and "Traceback" not in err
+
+
 def test_timing_report_format(tmp_path, capsys):
     raw = _write_static_gray8(tmp_path / "in.gray")
     rc = main(["timing", str(raw), "--width", "32", "--height", "32",

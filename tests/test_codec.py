@@ -38,6 +38,16 @@ def test_config_validation():
         with pytest.raises(CodecError) as e:
             CodecConfig(n=n, block_size=bs)
         assert e.value.code == "header-field-overflow"
+    # header fields must be integers, the seed too; the rate must be a real number
+    for bad in (dict(n=4.0), dict(block_size=16.0), dict(seed=1.5), dict(seed="1"),
+                dict(sampling_rate="0.5")):
+        with pytest.raises(CodecError):
+            CodecConfig(**bad)
+    # every integer seed is accepted, modulo 2^64
+    for seed in (-1, 2 ** 64 + 1, np.int64(7), np.uint64(2 ** 64 - 1)):
+        stream = encode_sequence(moving_square(16, 16, 5, square=4),
+                                 CodecConfig(block_size=8, seed=seed))
+        assert stream.seed == int(seed) % 2 ** 64
 
 
 def test_config_matrix_size_limit():
@@ -276,6 +286,12 @@ def test_bitstream_rejects_fields_beyond_header():
         with pytest.raises(CodecError) as e:
             Bitstream(**_header_fields(**{name: value}))
         assert e.value.code == "header-field-overflow", name
+    # a non-integer field is refused before struct could see it
+    for name in ("width", "height", "gop_n", "block_size", "frame_count", "seed",
+                 "m_per_block", "generator_id"):
+        with pytest.raises(CodecError) as e:
+            Bitstream(**_header_fields(**{name: 1.0}))
+        assert e.value.code == "non-integer-field", name
 
 
 def test_decode_refuses_hostile_matrix_size(monkeypatch):

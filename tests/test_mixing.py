@@ -47,6 +47,18 @@ def test_identity_constructor():
     assert ident.m == ident.k == 9
 
 
+def test_matrix_shape_is_its_entries_shape():
+    # m and k are read from the entries, so they cannot disagree with them
+    matrix = MixingMatrix(entries=np.eye(4, 16))
+    assert (matrix.m, matrix.k) == (4, 16)
+    generated = gen_mixing_matrix(3, 5, 16)
+    assert (generated.m, generated.k) == generated.entries.shape == (5, 16)
+    for entries in (np.ones(16), np.ones((2, 4, 16))):
+        with pytest.raises(CodecError) as e:
+            MixingMatrix(entries=entries)
+        assert e.value.code == "shape-mismatch"
+
+
 # --- residuals --------------------------------------------------------------
 
 def test_residual_of_identical_frames_is_zero():
@@ -124,7 +136,7 @@ def test_composite_disassembly_is_inverse():
     residuals = [ResidualFrame(rng.integers(-255, 256, size=(32, 32)))
                  for _ in range(4)]
     block = assemble_composite(residuals, (0, 1), 16)
-    tiles = disassemble_composite(block, 4)
+    tiles = disassemble_composite(block.values, 4)
     for j, tile in enumerate(tiles):
         expect = residuals[j].pixels[16:32, 0:16]
         assert np.array_equal(tile, expect)

@@ -5,8 +5,8 @@ import pytest
 
 from ubss_codec import (CodecError, CompositeBlock, GradientField,
                         MeasurementVector, MixingMatrix, SolverParams,
-                        decode_composite, divergence_adjoint, forward_diff,
-                        gen_mixing_matrix, mix_batch, shrink2, solve_tv)
+                        divergence_adjoint, forward_diff, gen_mixing_matrix,
+                        mix_batch, shrink2, solve_tv)
 from ubss_codec import tv as tv_mod
 from ubss_codec.tv import _grad, _grad_t, _UStep
 
@@ -323,7 +323,7 @@ def test_solve_zero_measurements_exactly_zero():
     assert res.outer_iterations == 1 and res.final_rel_change == 0.0
     # all-zero b returns before A is read: with a NaN matrix the iterations
     # would raise non-finite-value
-    nan_matrix = MixingMatrix(seed=None, m=4, k=16, entries=np.full((4, 16), np.nan))
+    nan_matrix = MixingMatrix(entries=np.full((4, 16), np.nan))
     res = solve_tv(nan_matrix, MeasurementVector((0, 0), np.zeros(4)), 4)
     assert np.all(res.u == 0.0) and res.outer_iterations == 1
 
@@ -422,7 +422,7 @@ def test_outer_iteration_takes_two_products_with_spectral_copy():
     # takes At p and a At
     img = _square_image(16, 3, 10, 80.0)
     entries = gen_mixing_matrix(5, 64, 256).entries
-    matrix = MixingMatrix(seed=None, m=64, k=256, entries=entries.view(_CountedA))
+    matrix = MixingMatrix(entries=entries.view(_CountedA))
     b = MeasurementVector((0, 0), entries @ img.ravel())
     solve_tv(matrix, b, 16)  # builds and caches the u-step
     u_step = matrix._solver_cache
@@ -452,7 +452,7 @@ def test_final_fidelity_is_measurement_misfit_of_result():
 
 def test_solve_refuses_matrix_blind_to_constants():
     # rows summing to zero leave the constant image unmeasured and H singular
-    matrix = MixingMatrix(seed=None, m=1, k=4, entries=np.array([[1.0, -1.0, 0.0, 0.0]]))
+    matrix = MixingMatrix(entries=np.array([[1.0, -1.0, 0.0, 0.0]]))
     with pytest.raises(CodecError) as e:
         solve_tv(matrix, MeasurementVector((0, 0), np.ones(1)), 2)
     assert e.value.code == "singular-matrix"
@@ -467,7 +467,7 @@ def test_solve_shape_checks():
 
 
 def test_solve_flags_non_finite_inputs():
-    bad = MixingMatrix(seed=None, m=1, k=1, entries=np.array([[np.nan]]))
+    bad = MixingMatrix(entries=np.array([[np.nan]]))
     with pytest.raises(CodecError) as e:
         solve_tv(bad, MeasurementVector((0, 0), np.ones(1)), 1)
     assert e.value.code == "non-finite-value"
@@ -495,13 +495,12 @@ def test_solve_refuses_measurements_whose_norm_overflows():
     assert np.all(np.abs(res.u) <= 1e-300)
 
 
-# --- decode_composite -------------------------------------------------------
+# --- solve_tv on composites -------------------------------------------------
 
 def test_decode_zero_measurements_gives_zero_composite():
     matrix = gen_mixing_matrix(5, 64, 256)
-    block = decode_composite(matrix, MeasurementVector((2, 3), np.zeros(64)), 16)
-    assert np.all(block.values == 0)
-    assert block.grid_position == (2, 3)
+    u = solve_tv(matrix, MeasurementVector((2, 3), np.zeros(64)), 16).u
+    assert np.all(u == 0)
 
 
 def test_decode_round_trip_fully_determined():
@@ -512,14 +511,14 @@ def test_decode_round_trip_fully_determined():
     b = mix_batch(matrix, CompositeBlock(16, img, (0, 0)))
     lstsq = np.linalg.lstsq(matrix.entries, b.values, rcond=None)[0]
     assert psnr_vs(img, lstsq.reshape(16, 16)) >= 100.0
-    block = decode_composite(matrix, b, 16)
-    assert psnr_vs(img, block.values) >= 50.0
+    u = solve_tv(matrix, b, 16).u
+    assert psnr_vs(img, u) >= 50.0
 
 
 def test_decode_deterministic():
     img = _square_image(16, 3, 10, 80.0)
     matrix = gen_mixing_matrix(31, 128, 256)
     b = MeasurementVector((0, 0), matrix.entries @ img.ravel())
-    d1 = decode_composite(matrix, b, 16)
-    d2 = decode_composite(matrix, b, 16)
-    assert d1.values.tobytes() == d2.values.tobytes()
+    u1 = solve_tv(matrix, b, 16).u
+    u2 = solve_tv(matrix, b, 16).u
+    assert u1.tobytes() == u2.tobytes()
