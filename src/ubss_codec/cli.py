@@ -85,14 +85,11 @@ def _run_point(frames, config):
 
 def cmd_sweep(args) -> int:
     frames = _load_input(args)
-    modes = [m for m in args.modes.split(",") if m]
     writer = csv.writer(sys.stdout)
     writer.writerow(SWEEP_COLUMNS)
     for rate in args.rates:
-        for mode in modes:
+        for mode in args.modes:
             try:
-                if mode not in MODES:
-                    raise CodecError("unknown-mode", mode)
                 config = _config(args, rate=rate, mode=mode)
                 stream, mean_psnr, encode_s, decode_s = _run_point(frames, config)
                 report = rate_report(stream)
@@ -146,6 +143,13 @@ def _comma_list(item_type):
     return parse
 
 
+def _mode(text):
+    """argparse type: one of MODES."""
+    if text not in MODES:
+        raise argparse.ArgumentTypeError(f"unknown mode {text!r}; choose from {', '.join(MODES)}")
+    return text
+
+
 def _add_input_args(p):
     p.add_argument("input",
                    help=f"raw video file, or '{SYNTHETIC_INPUT}' for the built-in sequence")
@@ -192,7 +196,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_config_args(p, with_rate=False, with_mode=False)
     p.add_argument("--rates", type=_comma_list(float), required=True,
                    help="comma-separated sampling rates")
-    p.add_argument("--modes", default="residual",
+    p.add_argument("--modes", type=_comma_list(_mode), default="residual",
                    help=f"comma-separated subset of {','.join(MODES)}")
     p.set_defaults(func=cmd_sweep)
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import tv
 from .errors import CodecError
-from .frames import BlockGrid, Frame, is_perfect_square, segment_gops
+from .frames import BlockGrid, Frame, _tile_root, is_perfect_square, segment_gops
 from .mixing import (GENERATOR_SPLITMIX64_BOXMULLER, MeasurementVector,
                      StreamAccumulator, compute_residual,
                      disassemble_composite, gen_mixing_matrix)
@@ -101,8 +101,7 @@ class CodecConfig:
     def __post_init__(self):
         _check_fits("gop_n", self.n)
         _check_fits("block_size", self.block_size)
-        if not is_perfect_square(self.n):
-            raise CodecError("n-not-perfect-square", f"n={self.n}")
+        _tile_root(self.n)
         if not (isinstance(self.sampling_rate, numbers.Real) and 0.0 < self.sampling_rate <= 1.0):
             raise CodecError("invalid-sampling-rate", f"{self.sampling_rate} not in (0, 1]")
         if self.block_size < 1:
@@ -230,10 +229,13 @@ class Bitstream:
 
     # -- payload access ----------------------------------------------------
 
-    def gop_key(self, i: int) -> Frame:
-        off = i * self._gop_bytes()
+    def _raw_frame(self, off: int) -> Frame:
+        """The raw width x height raster at payload offset off."""
         raster = np.frombuffer(self.payload, np.uint8, self.width * self.height, off)
         return Frame(raster.reshape(self.height, self.width))
+
+    def gop_key(self, i: int) -> Frame:
+        return self._raw_frame(i * self._gop_bytes())
 
     def gop_measurements(self, i: int) -> np.ndarray:
         """Dequantized float64 measurements, one row per block position in grid order."""
@@ -245,9 +247,7 @@ class Bitstream:
         return lo + rec["codes"] * ((hi - lo) / 65535.0)
 
     def trailing_frame(self, j: int) -> Frame:
-        off = self.num_gops * self._gop_bytes() + j * self.width * self.height
-        raster = np.frombuffer(self.payload, np.uint8, self.width * self.height, off)
-        return Frame(raster.reshape(self.height, self.width))
+        return self._raw_frame(self.num_gops * self._gop_bytes() + j * self.width * self.height)
 
     # -- serialization -----------------------------------------------------
 

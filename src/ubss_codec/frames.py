@@ -25,6 +25,13 @@ def is_perfect_square(n: int) -> bool:
     return r * r == n
 
 
+def _tile_root(n: int) -> int:
+    """t = sqrt(n), the tiles per composite side; the one check that n is a perfect square."""
+    if not is_perfect_square(n):
+        raise CodecError("n-not-perfect-square", f"n={n}")
+    return math.isqrt(n)
+
+
 class _Raster:
     """Immutable row-major 2-D raster of whole-number samples in [_lo, _hi], held as _dtype.
 
@@ -76,20 +83,11 @@ class ResidualFrame(_Raster):
 
 @dataclass
 class Gop:
-    """One key frame plus the n frames coded against it."""
+    """One key frame plus the tuple of n frames coded against it. segment_gops, which builds
+    every Gop, has checked n and the frames' dimensions, so a Gop checks neither."""
 
     key: Frame
     ubss: tuple
-
-    def __post_init__(self):
-        self.ubss = tuple(self.ubss)
-        if not is_perfect_square(len(self.ubss)):
-            raise CodecError("n-not-perfect-square", f"group holds {len(self.ubss)} coded frames")
-        dims = (self.key.height, self.key.width)
-        for f in self.ubss:
-            if (f.height, f.width) != dims:
-                raise CodecError("inconsistent-dimensions",
-                                 f"{f.width}x{f.height} frame in a {dims[1]}x{dims[0]} group")
 
 
 @dataclass(frozen=True)
@@ -163,15 +161,11 @@ def segment_gops(frames, n: int):
     Returns (gops, trailing) where `trailing` holds the leftover frames at the
     end (fewer than n+1) that must be coded as plain key frames.
     """
-    if not is_perfect_square(n):
-        raise CodecError("n-not-perfect-square", f"n={n}")
+    _tile_root(n)
     frames = list(frames)
-    if frames:
-        dims = (frames[0].height, frames[0].width)
-        for f in frames:
-            if (f.height, f.width) != dims:
-                raise CodecError("inconsistent-dimensions",
-                                 f"{f.width}x{f.height} frame in a {dims[1]}x{dims[0]} sequence")
+    sizes = {f.pixels.shape for f in frames}
+    if len(sizes) > 1:
+        raise CodecError("inconsistent-dimensions", f"frames of sizes {sorted(sizes)} (h, w)")
     group = n + 1
     full = len(frames) // group
     gops = [Gop(key=frames[i * group], ubss=tuple(frames[i * group + 1:(i + 1) * group]))
@@ -197,6 +191,10 @@ def psnr(reference: Frame, test: Frame) -> float:
 def mean_coded_psnr(original, decoded, n: int) -> float:
     """Mean PSNR over the frames coded through mixing, i.e. all but the key of each
     group of 1 + n frames and the trailing key-only frames; +inf if there are none."""
+    _tile_root(n)
+    if len(decoded) != len(original):
+        raise CodecError("frame-count-mismatch",
+                         f"{len(decoded)} decoded frames for {len(original)} originals")
     group = n + 1
     idx = [g * group + j for g in range(len(original) // group) for j in range(1, group)]
     if not idx:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CodecError
-from .frames import BlockGrid, Frame, ResidualFrame, _locked, is_perfect_square
+from .frames import BlockGrid, Frame, ResidualFrame, _locked, _tile_root
 
 GENERATOR_SPLITMIX64_BOXMULLER = 1
 
@@ -103,18 +103,19 @@ def compute_residual(frame: Frame, key: Frame) -> ResidualFrame:
 
 @dataclass
 class CompositeBlock:
-    """n co-located blocks arranged as one square tile, the solver's image domain."""
+    """n co-located blocks arranged as one square tile, the solver's image domain: a locked
+    float64 copy of the square 2-D values, whose shape gives the side."""
 
-    side: int
     values: np.ndarray
     grid_position: tuple
 
     def __post_init__(self):
         vals = np.array(self.values, dtype=np.float64)
-        if vals.shape != (self.side, self.side):
-            raise CodecError("shape-mismatch",
-                             f"composite values {vals.shape} != ({self.side}, {self.side})")
+        if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
+            raise CodecError("shape-mismatch", f"composite values {vals.shape} are not square 2-D")
         self.values = _locked(vals)
+
+    side = property(lambda self: self.values.shape[0], doc="Side of the square tile, in pixels.")
 
 
 @dataclass
@@ -142,30 +143,23 @@ def _split_blocks(raster: np.ndarray, bs: int) -> np.ndarray:
 def assemble_composite(residuals, grid_position, block_size: int) -> CompositeBlock:
     """Place the co-located block of each residual frame into one composite tile."""
     residuals = list(residuals)
-    n = len(residuals)
-    if not is_perfect_square(n):
-        raise CodecError("n-not-perfect-square", f"{n} residual frames")
-    dims = (residuals[0].height, residuals[0].width)
-    for r in residuals:
-        if (r.height, r.width) != dims:
-            raise CodecError("inconsistent-dimensions", "residual frames differ in size")
-    grid = BlockGrid.for_dims(dims[1], dims[0], block_size)
+    t, bs = _tile_root(len(residuals)), block_size
+    if len({r.pixels.shape for r in residuals}) > 1:
+        raise CodecError("inconsistent-dimensions", "residual frames differ in size")
+    grid = BlockGrid.for_dims(residuals[0].width, residuals[0].height, block_size)
     bx, by = grid_position
     if not (0 <= bx < grid.cols and 0 <= by < grid.rows):
         raise CodecError("out-of-grid",
                          f"position ({bx}, {by}) outside {grid.cols}x{grid.rows} grid")
-    t, bs = math.isqrt(n), block_size
     tiles = np.stack([r.pixels[by * bs:(by + 1) * bs, bx * bs:(bx + 1) * bs] for r in residuals])
     # inverse of _split_blocks on a t x t tile grid
     values = tiles.reshape(t, t, bs, bs).swapaxes(1, 2).reshape(t * bs, t * bs)
-    return CompositeBlock(side=t * bs, values=values, grid_position=(bx, by))
+    return CompositeBlock(values=values, grid_position=(bx, by))
 
 
 def disassemble_composite(values: np.ndarray, n: int) -> np.ndarray:
     """Inverse of assemble_composite: split side x side composite values into (n, bs, bs) tiles."""
-    if not is_perfect_square(n):
-        raise CodecError("n-not-perfect-square", f"n={n}")
-    t, side = math.isqrt(n), len(values)
+    t, side = _tile_root(n), len(values)
     if values.shape != (side, side) or side % t:
         raise CodecError("shape-mismatch", f"composite {values.shape} is not {t} x {t} tiles")
     return _split_blocks(values, side // t)
@@ -189,13 +183,12 @@ class StreamAccumulator:
 
     Only the running (num_blocks, m) partial sums are held, never a frame
     group: pushing frame j adds A'_j times each of its blocks, where A'_j is
-    the column sub-block of the mixing matrix for composite tile j. finish()
-    consumes the accumulator: it sets partial to None.
+    the column sub-block of the mixing matrix for tile j of the t x t
+    composite, t = sqrt(n). finish() consumes the accumulator: partial is None.
     """
 
     def __init__(self, matrix: MixingMatrix, grid: BlockGrid, n: int):
-        if not is_perfect_square(n):
-            raise CodecError("n-not-perfect-square", f"n={n}")
+        self.t = _tile_root(n)
         if matrix.k != n * grid.block_size * grid.block_size:
             raise CodecError("shape-mismatch",
                              f"matrix k={matrix.k}, group needs {n * grid.block_size ** 2}")
@@ -216,7 +209,7 @@ class StreamAccumulator:
         if (residual.height, residual.width) != (self.grid.rows * bs, self.grid.cols * bs):
             raise CodecError("dimension-mismatch",
                              f"residual {residual.width}x{residual.height} does not match grid")
-        m, t = self.matrix.m, math.isqrt(self.n)
+        m, t = self.matrix.m, self.t
         ty, tx = divmod(frame_index_in_group, t)
         # columns of A that multiply tile (tx, ty) of the composite
         sub = self.matrix.entries.reshape(m, t, bs, t, bs)[:, ty, :, tx, :].reshape(m, bs * bs)
@@ -225,13 +218,12 @@ class StreamAccumulator:
         self.frames_pushed += 1
 
     def finish(self):
-        """Return one MeasurementVector per block position; consumes the accumulator."""
+        """One MeasurementVector per block position, viewing its row of the locked sums; consumes."""
         if self.partial is None:
             raise CodecError("accumulator-consumed", "finish() was already called")
         if self.frames_pushed != self.n:
             raise CodecError("incomplete-group",
                              f"{self.frames_pushed} of {self.n} frames pushed")
-        out = [MeasurementVector(grid_position=(bx, by), values=self.partial[i].copy())
-               for i, (bx, by) in enumerate(self.grid.positions())]
-        self.partial = None
-        return out
+        rows, self.partial = _locked(self.partial), None
+        return [MeasurementVector(grid_position=pos, values=row)
+                for pos, row in zip(self.grid.positions(), rows)]

@@ -71,8 +71,8 @@ class SolverParams:
     and finite, the caps integers. Each outer iteration solves its
     u-subproblem exactly, so max_inner has no effect: it is still accepted,
     and must not be negative, so that callers written for the earlier
-    iterative u-step keep working. Defaults are the values the
-    acceptance harness runs at; they suit 8-bit scale imagery.
+    iterative u-step keep working. Defaults are the values the acceptance
+    harness runs at; solve_tv scales b to unit RMS, so they are scale-free.
     """
 
     mu: float = 2.0 ** 8
@@ -133,7 +133,9 @@ def _grad_t(g):
     The x-direction terms run on the flattened raster, where a shift by one
     sample is a contiguous slice; gx is copied with its dead last column
     zeroed, so the shift that wraps a row end onto the next row's start adds
-    nothing.
+    nothing. Kept for speed over the plain 2-D stencil, whose output is
+    bit-identical (2-core Xeon, 1 BLAS thread, best of 5: 5.2 vs 7.0 us at
+    side 8, 6.0 vs 8.8 at 16, 8.2 vs 14.0 at 32); it runs every outer iteration.
     """
     width = g.shape[2]
     gx = g[0].ravel().copy()

@@ -90,6 +90,13 @@ def test_decode_bad_magic_message(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_decode_of_a_directory_is_one_io_failure_line(tmp_path, capsys):
+    rc = main(["decode", str(tmp_path), "--out", str(tmp_path / "x")])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: io-failure")
+
+
 def test_sweep_csv_shape_and_error_rows(tmp_path, capsys):
     raw = _write_static_gray8(tmp_path / "in.gray")
     rc = main(["sweep", str(raw), "--width", "32", "--height", "32",
@@ -140,13 +147,14 @@ def test_blockstudy_indivisible_size_marks_error(tmp_path, capsys):
 
 def test_bad_list_value_is_usage_error(capsys):
     for command, option, value in (("sweep", "--rates", "0.5,abc"),
-                                   ("blockstudy", "--block-sizes", "8,x")):
+                                   ("blockstudy", "--block-sizes", "8,x"),
+                                   ("sweep", "--modes", "residual,bogus")):
         with pytest.raises(SystemExit) as e:
             main([command, "moving-square", "--width", "32", "--height", "32",
                   "--frames", "5", option, value])
         assert e.value.code == 2
         err = capsys.readouterr().err
-        assert option in err and "Traceback" not in err
+        assert f"argument {option}:" in err and "Traceback" not in err
 
 
 def test_timing_report_format(tmp_path, capsys):

@@ -435,3 +435,16 @@ def test_decode_honors_solver_params():
     quick_psnr = np.mean([psnr(a, b) for a, b in zip(frames[1:5], quick[1:5])])
     good_psnr = np.mean([psnr(a, b) for a, b in zip(frames[1:5], good[1:5])])
     assert good_psnr > quick_psnr
+
+
+# --- refusals ---------------------------------------------------------------
+
+@pytest.mark.parametrize("call, code", [
+    (lambda: CodecConfig(block_size=0), "invalid-block-size"),
+    (lambda: Bitstream(**_header_fields(width=0)), "invalid-header"),
+    (lambda: Bitstream(**_header_fields(frame_count=0, payload=b"")), "invalid-header"),
+], ids=["block-size-0", "width-0", "frame-count-0"])
+def test_refusal_codes(call, code):
+    with pytest.raises(CodecError) as e:
+        call()
+    assert e.value.code == code

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ubss_codec import (BlockGrid, CodecError, Frame, Gop, ResidualFrame,
-                        load_raw_sequence, psnr, save_frame_pgm,
+from ubss_codec import (BlockGrid, CodecError, Frame, ResidualFrame,
+                        load_raw_sequence, mean_coded_psnr, psnr, save_frame_pgm,
                         segment_gops)
 
 
@@ -160,11 +160,6 @@ def test_segment_errors():
     assert e.value.code == "inconsistent-dimensions"
 
 
-def test_gop_validation():
-    with pytest.raises(CodecError):
-        Gop(key=_frames(1)[0], ubss=tuple(_frames(3)))
-
-
 # --- PSNR -------------------------------------------------------------------
 
 def test_psnr_identical_is_infinite():
@@ -207,6 +202,11 @@ def test_psnr_symmetric():
     assert psnr(a, b) == psnr(b, a)
 
 
+def test_mean_coded_psnr_with_nothing_coded_is_infinite():
+    # 4 frames cannot fill a group of 1 + 4: all are key-only
+    assert mean_coded_psnr(_frames(4), _frames(4), 4) == math.inf
+
+
 def test_psnr_dimension_mismatch():
     with pytest.raises(CodecError) as e:
         psnr(_frames(1, 4, 4)[0], _frames(1, 8, 8)[0])
@@ -245,3 +245,25 @@ def test_block_grid():
     with pytest.raises(CodecError) as e:
         BlockGrid.for_dims(100, 144, 16)
     assert e.value.code == "dimension-not-divisible"
+
+
+# --- refusals ---------------------------------------------------------------
+
+def _raw_file(tmp_path):
+    path = tmp_path / "r.gray"
+    path.write_bytes(b"\x00" * 64)
+    return path
+
+
+@pytest.mark.parametrize("call, code", [
+    (lambda tmp: BlockGrid.for_dims(8, 8, 0), "dimension-not-divisible"),
+    (lambda tmp: load_raw_sequence(_raw_file(tmp), 8, 8, -1), "invalid-frame-count"),
+    (lambda tmp: mean_coded_psnr(_frames(5), _frames(5)[:3], 4), "frame-count-mismatch"),
+    (lambda tmp: mean_coded_psnr(_frames(5), _frames(5), -1), "n-not-perfect-square"),
+    (lambda tmp: mean_coded_psnr(_frames(5), _frames(5), 3), "n-not-perfect-square"),
+], ids=["block-size-0", "count-negative", "psnr-length-mismatch", "psnr-n-negative",
+        "psnr-n-3"])
+def test_refusal_codes(tmp_path, call, code):
+    with pytest.raises(CodecError) as e:
+        call(tmp_path)
+    assert e.value.code == code

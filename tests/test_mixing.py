@@ -169,9 +169,9 @@ def test_mix_linearity():
         u = rng.normal(size=(8, 8)) * 100
         v = rng.normal(size=(8, 8)) * 100
         a, b = rng.normal(size=2)
-        mu = mix_batch(matrix, CompositeBlock(8, u, (0, 0))).values
-        mv = mix_batch(matrix, CompositeBlock(8, v, (0, 0))).values
-        mixed = mix_batch(matrix, CompositeBlock(8, a * u + b * v, (0, 0))).values
+        mu = mix_batch(matrix, CompositeBlock(u, (0, 0))).values
+        mv = mix_batch(matrix, CompositeBlock(v, (0, 0))).values
+        mixed = mix_batch(matrix, CompositeBlock(a * u + b * v, (0, 0))).values
         ref = a * mu + b * mv
         assert np.max(np.abs(mixed - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
 
@@ -180,14 +180,14 @@ def test_mix_identity_matrix():
     ident = MixingMatrix.identity(64)
     rng = np.random.default_rng(3)
     vals = rng.normal(size=(8, 8)) * 50
-    out = mix_batch(ident, CompositeBlock(8, vals, (0, 0))).values
+    out = mix_batch(ident, CompositeBlock(vals, (0, 0))).values
     assert np.array_equal(out, vals.ravel())
 
 
 def test_mix_shape_mismatch():
     matrix = gen_mixing_matrix(1, 16, 64)
     with pytest.raises(CodecError) as e:
-        mix_batch(matrix, CompositeBlock(16, np.zeros((16, 16)), (0, 0)))
+        mix_batch(matrix, CompositeBlock(np.zeros((16, 16)), (0, 0)))
     assert e.value.code == "shape-mismatch"
 
 
@@ -263,3 +263,42 @@ def test_stream_measurement_buffer_size():
     acc = StreamAccumulator(matrix, grid, 4)
     assert acc.partial.shape == (grid.num_blocks, 100)
     assert acc.partial.nbytes == grid.num_blocks * 100 * 8
+
+
+# --- refusals ---------------------------------------------------------------
+
+def _accumulator():
+    return StreamAccumulator(gen_mixing_matrix(4, 16, 256), BlockGrid.for_dims(16, 16, 8), 4)
+
+
+def _finished_accumulator():
+    acc = _accumulator()
+    for j in range(4):
+        acc.push(ResidualFrame(np.zeros((16, 16), np.int16)), j)
+    acc.finish()
+    return acc
+
+
+@pytest.mark.parametrize("call, code", [
+    (lambda: assemble_composite(_const_residuals([0] * 3) + _const_residuals([0], h=16),
+                                (0, 0), 16), "inconsistent-dimensions"),
+    (lambda: disassemble_composite(np.zeros((6, 6)), 3), "n-not-perfect-square"),
+    (lambda: disassemble_composite(np.zeros((5, 5)), 4), "shape-mismatch"),
+    (lambda: disassemble_composite(np.zeros((4, 6)), 4), "shape-mismatch"),
+    (lambda: CompositeBlock(np.zeros((4, 6)), (0, 0)), "shape-mismatch"),
+    (lambda: CompositeBlock(np.zeros(16), (0, 0)), "shape-mismatch"),
+    (lambda: StreamAccumulator(gen_mixing_matrix(4, 16, 192), BlockGrid.for_dims(16, 16, 8), 3),
+     "n-not-perfect-square"),
+    (lambda: StreamAccumulator(gen_mixing_matrix(4, 16, 128), BlockGrid.for_dims(16, 16, 8), 4),
+     "shape-mismatch"),
+    (lambda: _finished_accumulator().push(ResidualFrame(np.zeros((16, 16), np.int16)), 0),
+     "accumulator-consumed"),
+    (lambda: _accumulator().push(ResidualFrame(np.zeros((16, 8), np.int16)), 0),
+     "dimension-mismatch"),
+], ids=["assemble-two-sizes", "disassemble-n-3", "disassemble-5x5", "disassemble-4x6",
+        "composite-4x6", "composite-1d", "accumulator-n-3", "accumulator-k-mismatch",
+        "push-after-finish", "push-wrong-size"])
+def test_refusal_codes(call, code):
+    with pytest.raises(CodecError) as e:
+        call()
+    assert e.value.code == code

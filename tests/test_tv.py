@@ -63,6 +63,14 @@ def test_forward_diff_matches_dense_matrix():
         assert np.allclose(g.dy.ravel(), flat[54:], atol=1e-12)
 
 
+@pytest.mark.parametrize("u", [np.zeros(4), np.zeros((0, 3)), np.zeros((2, 2, 2))],
+                         ids=["1-d", "empty", "3-d"])
+def test_forward_diff_refusal_codes(u):
+    with pytest.raises(CodecError) as e:
+        forward_diff(u)
+    assert e.value.code == "shape-mismatch"
+
+
 # --- adjoint ----------------------------------------------------------------
 
 def test_adjoint_zero_field():
@@ -508,7 +516,7 @@ def test_decode_round_trip_fully_determined():
     # input); the solver must recover it too
     img = _square_image(16, 3, 10, 80.0)
     matrix = gen_mixing_matrix(31, 256, 256)
-    b = mix_batch(matrix, CompositeBlock(16, img, (0, 0)))
+    b = mix_batch(matrix, CompositeBlock(img, (0, 0)))
     lstsq = np.linalg.lstsq(matrix.entries, b.values, rcond=None)[0]
     assert psnr_vs(img, lstsq.reshape(16, 16)) >= 100.0
     u = solve_tv(matrix, b, 16).u
