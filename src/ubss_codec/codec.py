@@ -6,9 +6,9 @@ Bitstream layout (all little-endian):
   flags (bit0: non-residual ablation, bit1: q16 measurements, bits 2-7 zero),
   generator-ID, reserved = 0, width, height, gop_n, block_size, frame_count,
   seed, m_per_block; each field unsigned with the width of its struct code
-* per GOP: raw key payload (width*height bytes), then for each block position
-  in row-major grid order either f32[m] or (min f32, max f32, u16[m])
-* trailing key-only frames: raw payloads in order.
+* the payload, stated once as the views of _payload_layout: per GOP the raw
+  key (width*height bytes), then per block position in row-major grid order
+  f32[m] or (min f32, max f32, u16[m]); then the trailing key-only frames, raw.
 
 Everything the decoder needs to regenerate the mixing matrix is in the header.
 """
@@ -61,6 +61,18 @@ def _record(m: int, q16: bool) -> np.dtype:
     if q16:
         return np.dtype([("lo", "<f4"), ("hi", "<f4"), ("codes", "<u2", (m,))])
     return np.dtype(("<f4", (m,)))
+
+
+def _payload_layout(width: int, height: int, gops: int, blocks: int, trailing: int, record: np.dtype):
+    """(byte size, views): views(buf) are the (gops, height, width) u8 keys, (gops, blocks)
+    records and (trailing, height, width) u8 rasters in place, writable when buf is."""
+    raster, gop = width * height, width * height + blocks * record.itemsize
+
+    def views(buf):
+        return (np.ndarray((gops, height, width), np.uint8, buf, 0, (gop, width, 1)),
+                np.ndarray((gops, blocks), record, buf, raster, (gop, record.itemsize)),
+                np.ndarray((trailing, height, width), np.uint8, buf, gops * gop, (raster, width, 1)))
+    return gops * gop + trailing * raster, views
 
 
 def _field_max(name: str) -> int:
@@ -169,15 +181,22 @@ class Bitstream:
         if not (1 <= self.m_per_block <= self.k):
             raise CodecError("invalid-header", f"m={self.m_per_block} outside [1, {self.k}]")
         _check_decoder_work(self.m_per_block, self.gop_n, self.block_size)
-        expected = self.num_gops * self._gop_bytes() + self.num_trailing * self.width * self.height
-        if len(self.payload) < expected:
-            raise CodecError("truncated-payload",
-                             f"payload {len(self.payload)} bytes, need {expected}")
-        if len(self.payload) > expected:
-            raise CodecError("trailing-garbage",
-                             f"payload {len(self.payload)} bytes, expected {expected}")
-        for i in range(self.num_gops):
-            self._check_finite(i)
+        size, views = _payload_layout(self.width, self.height, self.num_gops, self.grid.num_blocks,
+                                      self.num_trailing, _record(self.m_per_block, self.q16))
+        if len(self.payload) != size:
+            raise CodecError("truncated-payload" if len(self.payload) < size else "trailing-garbage",
+                             f"payload {len(self.payload)} bytes, expected {size}")
+        self._keys, self._gop_records, self._rasters = views(self.payload)
+        # refuse NaN or inf in an f32 value or a q16 (min, max), or min > max; f32 values
+        # are summed in float64, which no run of finite float32 can overflow
+        rec = self._gop_records
+        if not self.q16:
+            ok = math.isfinite(rec.sum(dtype=np.float64))
+        else:
+            lo, hi = rec["lo"], rec["hi"]
+            ok = bool((np.isfinite(lo) & np.isfinite(hi) & (lo <= hi)).all())
+        if not ok:
+            raise CodecError("non-finite-value", "a non-finite measurement or an inverted q16 range")
 
     # -- derived geometry -------------------------------------------------
 
@@ -201,45 +220,14 @@ class Bitstream:
     def num_trailing(self) -> int:
         return self.frame_count % (self.gop_n + 1)
 
-    def _gop_bytes(self) -> int:
-        record = _record(self.m_per_block, self.q16)
-        return self.width * self.height + self.grid.num_blocks * record.itemsize
-
-    def _records(self, i: int) -> np.ndarray:
-        """GOP i's measurement records, read in place, one per block position."""
-        off = i * self._gop_bytes() + self.width * self.height
-        return np.frombuffer(self.payload, _record(self.m_per_block, self.q16),
-                             self.grid.num_blocks, off)
-
-    def _check_finite(self, i: int):
-        """Refuse NaN or inf in GOP i's f32 values or q16 (min, max), or min > max.
-
-        An f32 GOP is summed in float64, which no run of finite float32 can
-        overflow, so no copy is made.
-        """
-        rec = self._records(i)
-        if not self.q16:
-            ok = math.isfinite(rec.sum(dtype=np.float64))
-        else:
-            lo, hi = rec["lo"], rec["hi"]
-            ok = bool((np.isfinite(lo) & np.isfinite(hi) & (lo <= hi)).all())
-        if not ok:
-            raise CodecError("non-finite-value",
-                             f"GOP {i} holds a non-finite measurement or an inverted q16 range")
-
     # -- payload access ----------------------------------------------------
 
-    def _raw_frame(self, off: int) -> Frame:
-        """The raw width x height raster at payload offset off."""
-        raster = np.frombuffer(self.payload, np.uint8, self.width * self.height, off)
-        return Frame(raster.reshape(self.height, self.width))
-
     def gop_key(self, i: int) -> Frame:
-        return self._raw_frame(i * self._gop_bytes())
+        return Frame(self._keys[i])
 
     def gop_measurements(self, i: int) -> np.ndarray:
         """Dequantized float64 measurements, one row per block position in grid order."""
-        rec = self._records(i)
+        rec = self._gop_records[i]
         if not self.q16:
             return rec.astype(np.float64)
         lo = rec["lo"].astype(np.float64)[:, None]
@@ -247,7 +235,7 @@ class Bitstream:
         return lo + rec["codes"] * ((hi - lo) / 65535.0)
 
     def trailing_frame(self, j: int) -> Frame:
-        return self._raw_frame(self.num_gops * self._gop_bytes() + j * self.width * self.height)
+        return Frame(self._rasters[j])
 
     # -- serialization -----------------------------------------------------
 
@@ -275,22 +263,20 @@ class Bitstream:
                    q16=bool(flags & FLAG_Q16), payload=data[_HEADER.size:])
 
 
-def _pack_records(values: np.ndarray, q16: bool) -> bytes:
-    """One GOP's records from its (block positions, m) measurements.
+def _pack_records(rec: np.ndarray, values: np.ndarray, q16: bool) -> None:
+    """Write one GOP's records, in place, from its (block positions, m) measurements.
 
     q16 maps each row onto 65536 levels between its min and max, both rounded
     to float32; a constant row is all code 0.
     """
-    rec = np.empty(len(values), _record(values.shape[1], q16))
     if not q16:
         rec[...] = values
-        return rec.tobytes()
+        return
     lo = values.min(axis=1).astype(np.float32).astype(np.float64)
     hi = values.max(axis=1).astype(np.float32).astype(np.float64)
     gain = np.divide(65535.0, hi - lo, out=np.zeros_like(lo), where=hi > lo)
     rec["lo"], rec["hi"] = lo, hi
     rec["codes"] = np.clip(np.rint((values - lo[:, None]) * gain[:, None]), 0, 65535)
-    return rec.tobytes()
 
 
 def encode_sequence(frames, config: CodecConfig) -> Bitstream:
@@ -298,6 +284,9 @@ def encode_sequence(frames, config: CodecConfig) -> Bitstream:
     frames = list(frames)
     if not frames:
         raise CodecError("empty-input", "no frames to encode")
+    for f in frames:  # checked before any is written into the u8 payload
+        if not isinstance(f, Frame):
+            raise CodecError("not-a-frame", f"encode_sequence takes Frames, not {type(f).__name__}")
     width, height = frames[0].width, frames[0].height
     _check_fits("width", width)
     _check_fits("height", height)
@@ -308,24 +297,27 @@ def encode_sequence(frames, config: CodecConfig) -> Bitstream:
     # the non-residual ablation mixes the raw frames, i.e. subtracts an all-zero key
     zero_key = None if config.residual_mode else Frame(np.zeros((height, width), np.uint8))
 
-    payload = bytearray()
-    for gop in gops:
-        payload += gop.key.pixels.tobytes()
+    size, views = _payload_layout(width, height, len(gops), grid.num_blocks, len(trailing),
+                                  _record(config.m, q16))
+    payload = np.empty(size, np.uint8)  # the packed layout writes every byte
+    keys, records, rasters = views(payload)
+    for i, gop in enumerate(gops):
+        keys[i] = gop.key.pixels
         key = gop.key if config.residual_mode else zero_key
         acc = StreamAccumulator(matrix, grid, config.n)
         for j, f in enumerate(gop.ubss):
             # streamed-memory contract: never hold more than the current residual
             acc.push(compute_residual(f, key), j)
-        payload += _pack_records(np.stack([mv.values for mv in acc.finish()]), q16)
-    for f in trailing:
-        payload += f.pixels.tobytes()
+        _pack_records(records[i], np.stack([mv.values for mv in acc.finish()]), q16)
+    for j, f in enumerate(trailing):
+        rasters[j] = f.pixels
 
     return Bitstream(width=width, height=height, gop_n=config.n,
                      block_size=config.block_size, frame_count=len(frames),
                      seed=config.seed, m_per_block=config.m,
                      generator_id=GENERATOR_SPLITMIX64_BOXMULLER,
                      non_residual=not config.residual_mode, q16=q16,
-                     payload=bytes(payload))
+                     payload=payload)
 
 
 def decode_sequence(stream: Bitstream, solver_params: tv.SolverParams | None = None):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -27,7 +28,7 @@ def is_perfect_square(n: int) -> bool:
 
 def _tile_root(n: int) -> int:
     """t = sqrt(n), the tiles per composite side; the one check that n is a perfect square."""
-    if not is_perfect_square(n):
+    if not (isinstance(n, numbers.Integral) and is_perfect_square(n)):
         raise CodecError("n-not-perfect-square", f"n={n}")
     return math.isqrt(n)
 

@@ -18,6 +18,7 @@ bitstream header.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,8 +88,10 @@ class MixingMatrix:
 
 def gen_mixing_matrix(seed: int, m: int, k: int) -> MixingMatrix:
     """Generate the measurement matrix deterministically from (seed, m, k)."""
-    if m < 1 or m > k:
-        raise CodecError("invalid-shape", f"need 1 <= m <= k, got m={m} k={k}")
+    if not (isinstance(m, numbers.Integral) and isinstance(k, numbers.Integral) and 1 <= m <= k):
+        raise CodecError("invalid-shape", f"need integers 1 <= m <= k, got m={m!r} k={k!r}")
+    if not isinstance(seed, numbers.Integral):
+        raise CodecError("non-integer-field", f"seed={seed!r} is not an integer")
     entries = (_standard_normals(seed, m * k) / math.sqrt(m)).reshape(m, k)
     return MixingMatrix(_locked(entries))
 

@@ -48,6 +48,7 @@ The solver is fully deterministic: no randomized steps, fixed summation order.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,8 +249,8 @@ def solve_tv(matrix: MixingMatrix, b: MeasurementVector, side: int,
     return u = 0 at once, counted as one outer iteration.
     """
     params = params if params is not None else SolverParams()
-    if matrix.k != side * side:
-        raise CodecError("shape-mismatch", f"matrix k={matrix.k} vs side {side}")
+    if not isinstance(side, numbers.Integral) or matrix.k != side * side:
+        raise CodecError("shape-mismatch", f"matrix k={matrix.k} vs side {side!r}")
     raw = np.asarray(b.values, dtype=np.float64)
     if raw.shape != (matrix.m,):
         raise CodecError("shape-mismatch", f"b has {raw.shape[0]} values, matrix m={matrix.m}")

@@ -86,6 +86,18 @@ def test_encode_requires_frames():
     assert e.value.code == "empty-input"
 
 
+def test_encode_refuses_what_is_not_a_frame(monkeypatch):
+    # checked before the matrix is built or any payload byte written: an int16
+    # residual would not fit the u8 key rasters
+    monkeypatch.setattr(codec_mod, "gen_mixing_matrix", _no_matrix)
+    frames = _static_frames(5, 16, 16)
+    residuals = [mixing_mod.compute_residual(f, frames[0]) for f in frames]
+    for bad in (residuals, [f.pixels for f in frames], frames[:4] + residuals[4:]):
+        with pytest.raises(CodecError) as e:
+            encode_sequence(bad, CodecConfig(block_size=8))
+        assert e.value.code == "not-a-frame"
+
+
 def test_encode_requires_divisible_dims():
     frames = _static_frames(w=30, h=30)
     with pytest.raises(CodecError) as e:
@@ -168,10 +180,14 @@ def test_encoder_holds_one_residual_at_a_time(monkeypatch):
 
 
 def test_pipeline_calls_the_hooked_names(monkeypatch):
-    # perfbench times the pipeline by wrapping ubss_codec.tv.solve_tv and
-    # StreamAccumulator.finish; a wrapped name the pipeline stops calling
-    # leaves its metrics empty, so the call counts are fixed here
-    calls = {"solve_tv": 0, "finish": 0}
+    # perfbench times the pipeline by wrapping these names where the pipeline
+    # looks them up; a wrapped name the pipeline stops calling leaves its
+    # metrics empty, so the call counts are fixed here
+    hooked = [(codec_mod, "gen_mixing_matrix"), (codec_mod, "compute_residual"),
+              (codec_mod, "disassemble_composite"), (mixing_mod.StreamAccumulator, "push"),
+              (mixing_mod.StreamAccumulator, "finish"), (tv_mod, "solve_tv"),
+              (codec_mod.Bitstream, "gop_measurements")]
+    calls = dict.fromkeys((name for _, name in hooked), 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -179,15 +195,20 @@ def test_pipeline_calls_the_hooked_names(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(tv_mod, "solve_tv", counted("solve_tv", tv_mod.solve_tv))
-    monkeypatch.setattr(mixing_mod.StreamAccumulator, "finish",
-                        counted("finish", mixing_mod.StreamAccumulator.finish))
+    for owner, name in hooked:
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
     frames = moving_square(64, 48, 12, square=16, start_x=4)
     stream = encode_sequence(frames, CodecConfig(sampling_rate=0.25, seed=3))
     assert stream.num_gops == 2 and stream.grid.num_blocks == 12
-    assert calls == {"solve_tv": 0, "finish": 2}
+    # per GOP: n = 4 residuals and pushes, one finish
+    assert calls == {"gen_mixing_matrix": 1, "compute_residual": 2 * 4,
+                     "disassemble_composite": 0, "push": 2 * 4, "finish": 2,
+                     "solve_tv": 0, "gop_measurements": 0}
     decode_sequence(stream)
-    assert calls == {"solve_tv": 2 * 12, "finish": 2}
+    # per GOP: one gop_measurements; per composite: one solve_tv and one disassemble
+    assert calls == {"gen_mixing_matrix": 2, "compute_residual": 2 * 4,
+                     "disassemble_composite": 2 * 12, "push": 2 * 4, "finish": 2,
+                     "solve_tv": 2 * 12, "gop_measurements": 2}
 
 
 def _header_fields(**changes):
@@ -338,7 +359,7 @@ def _last_gop_writer(fmt):
     stream = encode_sequence(_static_frames(10, 32, 32), CodecConfig(
         block_size=16, measurement_format=fmt))
     data = stream.to_bytes()
-    start = len(data) - stream._gop_bytes() + 32 * 32
+    start = len(data) - len(stream.payload) // 2 + 32 * 32
 
     def write(*triples):
         out = bytearray(data)
@@ -443,7 +464,11 @@ def test_decode_honors_solver_params():
     (lambda: CodecConfig(block_size=0), "invalid-block-size"),
     (lambda: Bitstream(**_header_fields(width=0)), "invalid-header"),
     (lambda: Bitstream(**_header_fields(frame_count=0, payload=b"")), "invalid-header"),
-], ids=["block-size-0", "width-0", "frame-count-0"])
+    (lambda: Bitstream.from_bytes(b"UBS1" + bytes(10)), "truncated-payload"),
+    (lambda: tv_mod.solve_tv(mixing_mod.gen_mixing_matrix(1, 16, 256),
+                             mixing_mod.MeasurementVector((0, 0), np.ones(16)), 16.0),
+     "shape-mismatch"),
+], ids=["block-size-0", "width-0", "frame-count-0", "shorter-than-header", "solve-side-float"])
 def test_refusal_codes(call, code):
     with pytest.raises(CodecError) as e:
         call()

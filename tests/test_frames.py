@@ -261,8 +261,10 @@ def _raw_file(tmp_path):
     (lambda tmp: mean_coded_psnr(_frames(5), _frames(5)[:3], 4), "frame-count-mismatch"),
     (lambda tmp: mean_coded_psnr(_frames(5), _frames(5), -1), "n-not-perfect-square"),
     (lambda tmp: mean_coded_psnr(_frames(5), _frames(5), 3), "n-not-perfect-square"),
+    (lambda tmp: mean_coded_psnr(_frames(5), _frames(5), 4.0), "n-not-perfect-square"),
+    (lambda tmp: segment_gops(_frames(5), 4.0), "n-not-perfect-square"),
 ], ids=["block-size-0", "count-negative", "psnr-length-mismatch", "psnr-n-negative",
-        "psnr-n-3"])
+        "psnr-n-3", "psnr-n-float", "segment-n-float"])
 def test_refusal_codes(tmp_path, call, code):
     with pytest.raises(CodecError) as e:
         call(tmp_path)

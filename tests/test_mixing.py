@@ -295,9 +295,16 @@ def _finished_accumulator():
      "accumulator-consumed"),
     (lambda: _accumulator().push(ResidualFrame(np.zeros((16, 8), np.int16)), 0),
      "dimension-mismatch"),
+    (lambda: disassemble_composite(np.zeros((4, 4)), 4.0), "n-not-perfect-square"),
+    (lambda: StreamAccumulator(gen_mixing_matrix(4, 16, 256), BlockGrid.for_dims(16, 16, 8), 4.0),
+     "n-not-perfect-square"),
+    (lambda: gen_mixing_matrix(1, 16.0, 256), "invalid-shape"),
+    (lambda: gen_mixing_matrix(1, 16, 256.0), "invalid-shape"),
+    (lambda: gen_mixing_matrix(1.5, 16, 256), "non-integer-field"),
 ], ids=["assemble-two-sizes", "disassemble-n-3", "disassemble-5x5", "disassemble-4x6",
         "composite-4x6", "composite-1d", "accumulator-n-3", "accumulator-k-mismatch",
-        "push-after-finish", "push-wrong-size"])
+        "push-after-finish", "push-wrong-size", "disassemble-n-float", "accumulator-n-float",
+        "generator-m-float", "generator-k-float", "generator-seed-float"])
 def test_refusal_codes(call, code):
     with pytest.raises(CodecError) as e:
         call()
