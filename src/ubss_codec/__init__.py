@@ -6,6 +6,8 @@ one residual frame is ever resident); the decoder recovers frames by
 total-variation minimization over composite blocks.
 """
 
+import logging
+
 from .errors import CodecError
 from .frames import (BlockGrid, Frame, Gop, ResidualFrame, is_perfect_square,
                      load_raw_sequence, mean_coded_psnr, psnr, save_frame_pgm,
@@ -21,3 +23,6 @@ from .codec import (Bitstream, CodecConfig, RateReport, decode_sequence,
 from .synthetic import moving_square
 
 __version__ = "0.1.0"
+
+# silent unless the application configures logging
+logging.getLogger(__name__).addHandler(logging.NullHandler())

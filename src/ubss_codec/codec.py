@@ -15,6 +15,7 @@ Everything the decoder needs to regenerate the mixing matrix is in the header.
 
 from __future__ import annotations
 
+import logging
 import math
 import numbers
 import struct
@@ -28,6 +29,8 @@ from .frames import BlockGrid, Frame, _tile_root, is_perfect_square, segment_gop
 from .mixing import (GENERATOR_SPLITMIX64_BOXMULLER, MeasurementVector,
                      StreamAccumulator, compute_residual,
                      disassemble_composite, gen_mixing_matrix)
+
+_log = logging.getLogger("ubss_codec")
 
 MAGIC = b"UBS1"
 VERSION = 1
@@ -223,11 +226,11 @@ class Bitstream:
     # -- payload access ----------------------------------------------------
 
     def gop_key(self, i: int) -> Frame:
-        return Frame(self._keys[i])
+        return Frame(self._keys[_checked_index(i, self.num_gops, "GOP")])
 
     def gop_measurements(self, i: int) -> np.ndarray:
         """Dequantized float64 measurements, one row per block position in grid order."""
-        rec = self._gop_records[i]
+        rec = self._gop_records[_checked_index(i, self.num_gops, "GOP")]
         if not self.q16:
             return rec.astype(np.float64)
         lo = rec["lo"].astype(np.float64)[:, None]
@@ -235,7 +238,7 @@ class Bitstream:
         return lo + rec["codes"] * ((hi - lo) / 65535.0)
 
     def trailing_frame(self, j: int) -> Frame:
-        return Frame(self._rasters[j])
+        return Frame(self._rasters[_checked_index(j, self.num_trailing, "trailing frame")])
 
     # -- serialization -----------------------------------------------------
 
@@ -261,6 +264,13 @@ class Bitstream:
                              "undefined bits must be zero")
         return cls(**fields, non_residual=bool(flags & FLAG_NON_RESIDUAL),
                    q16=bool(flags & FLAG_Q16), payload=data[_HEADER.size:])
+
+
+def _checked_index(i, count: int, what: str) -> int:
+    """Refuse an index that is not an integer in [0, count): no counting from the end."""
+    if not (isinstance(i, numbers.Integral) and 0 <= i < count):
+        raise CodecError("index-out-of-range", f"{what} index {i!r} outside [0, {count})")
+    return i
 
 
 def _pack_records(rec: np.ndarray, values: np.ndarray, q16: bool) -> None:
@@ -321,7 +331,11 @@ def encode_sequence(frames, config: CodecConfig) -> Bitstream:
 
 
 def decode_sequence(stream: Bitstream, solver_params: tv.SolverParams | None = None):
-    """Decode every frame: keys verbatim, coded frames via TV separation."""
+    """Decode every frame: keys verbatim, coded frames via TV separation.
+
+    When any composite stops on the solver's max_outer cap, one WARNING on the
+    "ubss_codec" logger gives the count for the stream.
+    """
     if stream.generator_id != GENERATOR_SPLITMIX64_BOXMULLER:
         raise CodecError("unknown-generator", f"generator id {stream.generator_id}")
     params = solver_params if solver_params is not None else tv.SolverParams()
@@ -330,12 +344,15 @@ def decode_sequence(stream: Bitstream, solver_params: tv.SolverParams | None = N
     side, bs, n = stream.composite_side, stream.block_size, stream.gop_n
 
     out = []
+    active = capped = 0
     for i in range(stream.num_gops):
         key = stream.gop_key(i)
         recovered = np.zeros((n, stream.height, stream.width))
         for values, (bx, by) in zip(stream.gop_measurements(i), stream.grid.positions()):
             mv = MeasurementVector(grid_position=(bx, by), values=values)
             result = tv.solve_tv(matrix, mv, side, params)
+            active += result.stop_reason != "zero-input"
+            capped += result.stop_reason == "cap"
             recovered[:, by * bs:(by + 1) * bs, bx * bs:(bx + 1) * bs] = \
                 disassemble_composite(result.u, n)
         del values, mv  # row views that would keep the GOP's measurements alive
@@ -347,6 +364,9 @@ def decode_sequence(stream: Bitstream, solver_params: tv.SolverParams | None = N
         np.rint(recovered, out=recovered)
         np.clip(recovered, 0, 255, out=recovered)
         out.extend(Frame(r.astype(np.uint8)) for r in recovered)
+    if capped:
+        _log.warning("%d of %d active composites stopped at max_outer=%d",
+                     capped, active, params.max_outer)
     for j in range(stream.num_trailing):
         out.append(stream.trailing_frame(j))
     return out

@@ -34,27 +34,42 @@ _SM64_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _SM64_MIX2 = np.uint64(0x94D049BB133111EB)
 
 
-def _splitmix64(state: np.ndarray) -> np.ndarray:
-    z = (state ^ (state >> np.uint64(30))) * _SM64_MIX1
-    z = (z ^ (z >> np.uint64(27))) * _SM64_MIX2
-    return z ^ (z >> np.uint64(31))
-
-
-def _uint64_stream(seed: int, count: int) -> np.ndarray:
-    base = np.uint64(int(seed) & _U64_MASK)
-    idx = np.arange(1, count + 1, dtype=np.uint64)
-    return _splitmix64(base + idx * _SM64_GAMMA)
+def _splitmix64(z: np.ndarray, scratch: np.ndarray) -> None:
+    """Apply the SplitMix64 finalizer to the uint64 states z in place; scratch holds the shifts."""
+    for shift, mix in ((30, _SM64_MIX1), (27, _SM64_MIX2)):
+        z ^= np.right_shift(z, np.uint64(shift), out=scratch)
+        z *= mix
+    z ^= np.right_shift(z, np.uint64(31), out=scratch)
 
 
 def _standard_normals(seed: int, count: int) -> np.ndarray:
-    pairs = (count + 1) // 2
-    words = _uint64_stream(seed, 2 * pairs)
-    u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
-    r = np.sqrt(-2.0 * np.log(u[0::2]))
-    theta = (2.0 * np.pi) * u[1::2]
-    out = np.empty(2 * pairs)
-    out[0::2] = r * np.cos(theta)
-    out[1::2] = r * np.sin(theta)
+    """The first `count` N(0, 1) draws of the scheme above, a float64 view of one of two buffers.
+
+    The words, the uniforms and the normals share two buffers of 2 * ceil(count / 2)
+    uint64 words: SplitMix64 runs in place in the first, the uniforms are
+    written to the second's float64 view and Box-Muller's output to the first's.
+    """
+    size = 2 * ((count + 1) // 2)
+    words = np.arange(1, size + 1, dtype=np.uint64)
+    scratch = np.empty(size, np.uint64)
+    words *= _SM64_GAMMA
+    words += np.uint64(int(seed) & _U64_MASK)
+    _splitmix64(words, scratch)
+    # the shifted words are below 2^53, so the float64 copy is exact
+    u = scratch.view(np.float64)
+    np.copyto(u, np.right_shift(words, np.uint64(11), out=words))
+    u += 0.5
+    u *= 2.0 ** -53
+    r, theta = u[0::2], u[1::2]
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta *= 2.0 * np.pi
+    out = words.view(np.float64)
+    np.cos(theta, out=out[0::2])
+    out[0::2] *= r
+    np.sin(theta, out=out[1::2])
+    out[1::2] *= r
     return out[:count]
 
 
@@ -92,8 +107,9 @@ def gen_mixing_matrix(seed: int, m: int, k: int) -> MixingMatrix:
         raise CodecError("invalid-shape", f"need integers 1 <= m <= k, got m={m!r} k={k!r}")
     if not isinstance(seed, numbers.Integral):
         raise CodecError("non-integer-field", f"seed={seed!r} is not an integer")
-    entries = (_standard_normals(seed, m * k) / math.sqrt(m)).reshape(m, k)
-    return MixingMatrix(_locked(entries))
+    entries = _standard_normals(seed, m * k)
+    entries /= math.sqrt(m)  # a division: multiplying by 1/sqrt(m) rounds differently
+    return MixingMatrix(_locked(entries.reshape(m, k)))
 
 
 def compute_residual(frame: Frame, key: Frame) -> ResidualFrame:

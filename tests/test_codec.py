@@ -1,3 +1,5 @@
+import logging
+import re
 import struct
 import weakref
 
@@ -458,7 +460,30 @@ def test_decode_honors_solver_params():
     assert good_psnr > quick_psnr
 
 
+def test_decode_warns_once_when_composites_stop_on_the_cap(caplog):
+    assert any(isinstance(h, logging.NullHandler) for h in logging.getLogger("ubss_codec").handlers)
+    frames = moving_square(32, 32, 10, square=12, start_x=2)
+    stream = encode_sequence(frames, CodecConfig(sampling_rate=0.4, seed=2))
+    with caplog.at_level(logging.WARNING, logger="ubss_codec"):
+        decode_sequence(stream, SolverParams(max_outer=1))
+    assert [r.levelno for r in caplog.records] == [logging.WARNING]
+    assert caplog.records[0].name == "ubss_codec"
+    assert re.fullmatch(r"(\d+) of \1 active composites stopped at max_outer=1",
+                        caplog.records[0].getMessage())
+    caplog.clear()
+    # all-zero composites stop on no cap, so a static sequence logs nothing
+    static = encode_sequence(_static_frames(), CodecConfig(block_size=16))
+    with caplog.at_level(logging.WARNING, logger="ubss_codec"):
+        decode_sequence(static, SolverParams(max_outer=1))
+    assert not caplog.records
+
+
 # --- refusals ---------------------------------------------------------------
+
+def _one_gop_stream():
+    """1x1 frames at n = 1: one GOP (key and one f32 record) and one trailing frame."""
+    return Bitstream(**_header_fields(frame_count=3, payload=bytes(6)))
+
 
 @pytest.mark.parametrize("call, code", [
     (lambda: CodecConfig(block_size=0), "invalid-block-size"),
@@ -468,7 +493,17 @@ def test_decode_honors_solver_params():
     (lambda: tv_mod.solve_tv(mixing_mod.gen_mixing_matrix(1, 16, 256),
                              mixing_mod.MeasurementVector((0, 0), np.ones(16)), 16.0),
      "shape-mismatch"),
-], ids=["block-size-0", "width-0", "frame-count-0", "shorter-than-header", "solve-side-float"])
+    (lambda: _one_gop_stream().gop_key(-1), "index-out-of-range"),
+    (lambda: _one_gop_stream().gop_key(1), "index-out-of-range"),
+    (lambda: _one_gop_stream().gop_measurements(-1), "index-out-of-range"),
+    (lambda: _one_gop_stream().gop_measurements(1), "index-out-of-range"),
+    (lambda: _one_gop_stream().trailing_frame(-1), "index-out-of-range"),
+    (lambda: _one_gop_stream().trailing_frame(1), "index-out-of-range"),
+    (lambda: _one_gop_stream().gop_key(0.0), "index-out-of-range"),
+], ids=["block-size-0", "width-0", "frame-count-0", "shorter-than-header", "solve-side-float",
+        "gop-key-negative", "gop-key-past-end", "gop-measurements-negative",
+        "gop-measurements-past-end", "trailing-frame-negative", "trailing-frame-past-end",
+        "gop-key-float"])
 def test_refusal_codes(call, code):
     with pytest.raises(CodecError) as e:
         call()

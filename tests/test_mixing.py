@@ -1,3 +1,6 @@
+import hashlib
+import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -31,6 +34,57 @@ def test_generator_moments():
     sigma = 1 / np.sqrt(m)
     assert abs(entries.mean()) < 4 * sigma / np.sqrt(m * k)
     assert abs(entries.var() - 1 / m) < 0.05 / m
+
+
+def _scalar_generator(seed, m, k):
+    """The scheme of mixing.py's docstring one draw at a time, in Python integers and floats.
+
+    log, cos and sin are numpy's, called on one value at a time: its vectorized
+    log rounds some inputs differently from math.log, and a decoder must
+    regenerate numpy's bytes.
+    """
+    mask = 2 ** 64 - 1
+
+    def word(i):
+        z = ((seed & mask) + i * 0x9E3779B97F4A7C15) & mask
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        return z ^ (z >> 31)
+
+    normals = []
+    for pair in range((m * k + 1) // 2):
+        u1, u2 = (((word(2 * pair + j) >> 11) + 0.5) * 2.0 ** -53 for j in (1, 2))
+        r = math.sqrt(-2.0 * float(np.log(u1)))
+        theta = 2.0 * math.pi * u2
+        normals += [r * float(np.cos(theta)), r * float(np.sin(theta))]
+    return np.array(normals[:m * k]).reshape(m, k) / math.sqrt(m)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 64 - 1])
+@pytest.mark.parametrize("m, k", [(1, 1), (3, 5), (5, 7), (16, 64)])
+def test_generator_matches_scalar_scheme(seed, m, k):
+    # odd m * k included: the last pair's sine is drawn and dropped
+    entries = gen_mixing_matrix(seed, m, k).entries
+    assert entries.tobytes() == _scalar_generator(seed, m, k).tobytes()
+
+
+def test_generator_bytes_pinned():
+    # the decoder regenerates the encoder's matrix from the header alone, so
+    # these bytes are part of the stream format
+    entries = gen_mixing_matrix(7, 256, 1024).entries
+    assert hashlib.sha256(entries.tobytes()).hexdigest() == \
+        "0646a1f61623c6302174bb8bb303c4e30eeb0edb3da6188a4487eb9d7b0b383e"
+
+
+def test_generator_memory_peak():
+    # two buffers of the matrix's size: the words, then the uniforms beside them
+    tracemalloc.start()
+    try:
+        entries = gen_mixing_matrix(7, 256, 1024).entries
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * entries.nbytes
 
 
 def test_generator_invalid_shapes():

@@ -227,7 +227,7 @@ def _surrogate(A, side, seed, beta, mu):
 # the 1 x 1 case, odd sides and even sides up to 8
 _U_STEP_SIDES = (1, 2, 3, 4, 8)
 # (beta, mu): the defaults, beta far above mu and mu far above beta
-_PENALTIES = ((2.0 ** 5, 2.0 ** 8), (2.0 ** 8, 2.0 ** 2), (1.0, 2.0 ** 12))
+_PENALTIES = ((SolverParams().beta, SolverParams().mu), (2.0 ** 8, 2.0 ** 2), (1.0, 2.0 ** 12))
 
 
 def _u_step_instances(side):
@@ -395,6 +395,17 @@ def test_stop_reason_cap():
                    SolverParams(max_outer=3))
     assert res.stop_reason == "cap"
     assert res.outer_iterations == 3 and res.final_rel_change >= SolverParams().outer_tol
+
+
+def test_default_beta_stops_on_tolerance_for_a_smooth_composite():
+    # a smooth side-16 composite at m = 64, the pan benchmark's shape: the
+    # default beta converges well inside the cap, which beta = 2^5 runs into
+    x, y = np.arange(16)[None, :], np.arange(16)[:, None]
+    img = 30.0 * np.sin(2 * np.pi * x / 23) * np.cos(2 * np.pi * y / 19)
+    matrix = gen_mixing_matrix(1, 64, 256)
+    b = MeasurementVector((0, 0), matrix.entries @ img.ravel())
+    assert solve_tv(matrix, b, 16).stop_reason == "tolerance"
+    assert solve_tv(matrix, b, 16, SolverParams(beta=2.0 ** 5)).stop_reason == "cap"
 
 
 def test_stop_reason_zero_input():
