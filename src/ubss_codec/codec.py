@@ -146,9 +146,13 @@ class RateReport:
     bit_domain_ratio: float
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, frozen=True)
 class Bitstream:
-    """Parsed container: header fields plus the verbatim payload bytes."""
+    """Parsed container: header fields plus the verbatim payload bytes.
+
+    Frozen, because the checks and the payload views are made once, at
+    construction; dataclasses.replace builds a checked copy.
+    """
 
     width: int
     height: int
@@ -164,8 +168,9 @@ class Bitstream:
 
     def __post_init__(self):
         if isinstance(self.seed, numbers.Integral):  # modulo 2^64, as the generator reads it
-            self.seed = int(self.seed) & _field_max("seed")  # _validate refuses other seeds
-        self.payload = bytes(self.payload)
+            # _validate refuses other seeds
+            object.__setattr__(self, "seed", int(self.seed) & _field_max("seed"))
+        object.__setattr__(self, "payload", bytes(self.payload))
         self._validate()
 
     def _validate(self):
@@ -189,7 +194,8 @@ class Bitstream:
         if len(self.payload) != size:
             raise CodecError("truncated-payload" if len(self.payload) < size else "trailing-garbage",
                              f"payload {len(self.payload)} bytes, expected {size}")
-        self._keys, self._gop_records, self._rasters = views(self.payload)
+        for name, view in zip(("_keys", "_gop_records", "_rasters"), views(self.payload)):
+            object.__setattr__(self, name, view)
         # refuse NaN or inf in an f32 value or a q16 (min, max), or min > max; f32 values
         # are summed in float64, which no run of finite float32 can overflow
         rec = self._gop_records
@@ -318,7 +324,7 @@ def encode_sequence(frames, config: CodecConfig) -> Bitstream:
         for j, f in enumerate(gop.ubss):
             # streamed-memory contract: never hold more than the current residual
             acc.push(compute_residual(f, key), j)
-        _pack_records(records[i], np.stack([mv.values for mv in acc.finish()]), q16)
+        _pack_records(records[i], acc.finish().values, q16)
     for j, f in enumerate(trailing):
         rasters[j] = f.pixels
 
@@ -333,7 +339,9 @@ def encode_sequence(frames, config: CodecConfig) -> Bitstream:
 def decode_sequence(stream: Bitstream, solver_params: tv.SolverParams | None = None):
     """Decode every frame: keys verbatim, coded frames via TV separation.
 
-    When any composite stops on the solver's max_outer cap, one WARNING on the
+    Only composites with a nonzero measurement are solved; an all-zero one
+    recovers as zero, which is what the solver would return for it. When any
+    composite stops on the solver's max_outer cap, one WARNING on the
     "ubss_codec" logger gives the count for the stream.
     """
     if stream.generator_id != GENERATOR_SPLITMIX64_BOXMULLER:
@@ -341,21 +349,25 @@ def decode_sequence(stream: Bitstream, solver_params: tv.SolverParams | None = N
     params = solver_params if solver_params is not None else tv.SolverParams()
     matrix = gen_mixing_matrix(stream.seed, stream.m_per_block, stream.k) \
         if stream.num_gops else None
-    side, bs, n = stream.composite_side, stream.block_size, stream.gop_n
+    side, bs, n, cols = stream.composite_side, stream.block_size, stream.gop_n, stream.grid.cols
 
     out = []
     active = capped = 0
     for i in range(stream.num_gops):
-        key = stream.gop_key(i)
         recovered = np.zeros((n, stream.height, stream.width))
-        for values, (bx, by) in zip(stream.gop_measurements(i), stream.grid.positions()):
-            mv = MeasurementVector(grid_position=(bx, by), values=values)
-            result = tv.solve_tv(matrix, mv, side, params)
-            active += result.stop_reason != "zero-input"
+        rows = stream.gop_measurements(i)
+        solved = np.flatnonzero(rows.any(axis=1))
+        for j in solved:
+            by, bx = divmod(int(j), cols)
+            result = tv.solve_tv(matrix, MeasurementVector((bx, by), rows[j]), side, params)
             capped += result.stop_reason == "cap"
             recovered[:, by * bs:(by + 1) * bs, bx * bs:(bx + 1) * bs] = \
                 disassemble_composite(result.u, n)
-        del values, mv  # row views that would keep the GOP's measurements alive
+        active += len(solved)
+        # the measurements are freed before the frames are rebuilt, and the key
+        # is copied only after the solves; either would add to the memory peak
+        del rows
+        key = stream.gop_key(i)
         out.append(key)
         # the frames are rebuilt in place, so the GOP's float64 block is the
         # only full-size float array

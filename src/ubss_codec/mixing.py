@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -236,13 +237,32 @@ class StreamAccumulator:
         self.partial += blocks.astype(np.float64) @ sub.T
         self.frames_pushed += 1
 
-    def finish(self):
-        """One MeasurementVector per block position, viewing its row of the locked sums; consumes."""
+    def finish(self) -> GroupMeasurements:
+        """The locked (num_blocks, m) sums, one row per block position in grid order; consumes."""
         if self.partial is None:
             raise CodecError("accumulator-consumed", "finish() was already called")
         if self.frames_pushed != self.n:
             raise CodecError("incomplete-group",
                              f"{self.frames_pushed} of {self.n} frames pushed")
-        rows, self.partial = _locked(self.partial), None
-        return [MeasurementVector(grid_position=pos, values=row)
-                for pos, row in zip(self.grid.positions(), rows)]
+        values, self.partial = _locked(self.partial), None
+        return GroupMeasurements(values, self.grid.cols)
+
+
+@dataclass(frozen=True, eq=False)
+class GroupMeasurements(Sequence):
+    """One frame group's measurements as a read-only sequence in row-major grid order.
+
+    values is the locked (num_blocks, m) array; item i is built on access as the
+    MeasurementVector of block position (i mod cols, i div cols), viewing row i.
+    """
+
+    values: np.ndarray
+    cols: int
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, i) -> MeasurementVector:
+        # indexing a range counts a negative i from the end and refuses one out of range
+        by, bx = divmod(range(len(self))[i], self.cols)
+        return MeasurementVector(grid_position=(bx, by), values=self.values[i])

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import logging
 import re
 import struct
@@ -197,6 +199,7 @@ def test_pipeline_calls_the_hooked_names(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    gop_measurements = codec_mod.Bitstream.gop_measurements
     for owner, name in hooked:
         monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
     frames = moving_square(64, 48, 12, square=16, start_x=4)
@@ -206,11 +209,62 @@ def test_pipeline_calls_the_hooked_names(monkeypatch):
     assert calls == {"gen_mixing_matrix": 1, "compute_residual": 2 * 4,
                      "disassemble_composite": 0, "push": 2 * 4, "finish": 2,
                      "solve_tv": 0, "gop_measurements": 0}
+    active = sum(int(gop_measurements(stream, g).any(axis=1).sum()) for g in range(2))
+    assert active == 5
     decode_sequence(stream)
-    # per GOP: one gop_measurements; per composite: one solve_tv and one disassemble
+    # per GOP: one gop_measurements; per composite with a nonzero measurement:
+    # one solve_tv and one disassemble
     assert calls == {"gen_mixing_matrix": 2, "compute_residual": 2 * 4,
-                     "disassemble_composite": 2 * 12, "push": 2 * 4, "finish": 2,
-                     "solve_tv": 2 * 12, "gop_measurements": 2}
+                     "disassemble_composite": active, "push": 2 * 4, "finish": 2,
+                     "solve_tv": active, "gop_measurements": 2}
+
+    # a static sequence measures all zeros: nothing is solved, the keys come back
+    calls.update(dict.fromkeys(calls, 0))
+    frames = _static_frames()
+    decoded = decode_sequence(encode_sequence(frames, CodecConfig(block_size=8)))
+    assert [f.pixels.tolist() for f in decoded] == [f.pixels.tolist() for f in frames]
+    assert calls == {"gen_mixing_matrix": 2, "compute_residual": 4,
+                     "disassemble_composite": 0, "push": 4, "finish": 1,
+                     "solve_tv": 0, "gop_measurements": 1}
+
+
+def test_encoder_builds_no_measurement_vector(monkeypatch):
+    # the encoder packs finish()'s (blocks, m) sums as they are; the decoder
+    # builds one MeasurementVector per composite it solves
+    built = []
+    post_init = mixing_mod.MeasurementVector.__post_init__
+
+    def counted(mv):
+        built.append(mv.grid_position)
+        post_init(mv)
+
+    monkeypatch.setattr(mixing_mod.MeasurementVector, "__post_init__", counted)
+    stream = encode_sequence(moving_square(64, 48, 12, square=16, start_x=4),
+                             CodecConfig(sampling_rate=0.25, seed=3))
+    assert built == []
+    decode_sequence(stream)
+    assert len(built) == 5
+
+
+# sha256 of the stream bytes and of the decoded frames' pixels: a change to
+# the encoder's or the decoder's plumbing must move neither
+@pytest.mark.parametrize("frames, config, stream_sha, frames_sha", [
+    (lambda: moving_square(64, 48, 12, square=16, start_x=4),
+     CodecConfig(sampling_rate=0.25, seed=3),
+     "1ec0b7adae1fd6f9f7c5f848a40d805645be0040e6c7b05c330a292ee1676afd",
+     "45bbbf1c03a9a2cb48d8e162878d881d1e06a6b7ee6e6f7646ec4131e5244b77"),
+    (lambda: moving_square(32, 32, 7, square=8, start_x=2),
+     CodecConfig(block_size=8, sampling_rate=0.5, seed=5, measurement_format="q16"),
+     "4822c5d4abd1bea821ab6499ea98986f974732a72fc1c6b19e450d1227fb9809",
+     "ae080a4d6c73eb7f278e329564ed6864eb9f60356b4b0a2ea041579141e64e2d"),
+], ids=["f32", "q16"])
+def test_stream_and_decoded_frames_pinned(frames, config, stream_sha, frames_sha):
+    data = encode_sequence(frames(), config).to_bytes()
+    assert hashlib.sha256(data).hexdigest() == stream_sha
+    pixels = hashlib.sha256()
+    for f in decode_sequence(Bitstream.from_bytes(data)):
+        pixels.update(f.pixels.tobytes())
+    assert pixels.hexdigest() == frames_sha
 
 
 def _header_fields(**changes):
@@ -315,6 +369,19 @@ def test_bitstream_rejects_fields_beyond_header():
         with pytest.raises(CodecError) as e:
             Bitstream(**_header_fields(**{name: 1.0}))
         assert e.value.code == "non-integer-field", name
+
+
+def test_bitstream_fields_are_frozen():
+    # a field set after construction would skip the checks and the payload
+    # views made from it; to_bytes() would then raise a raw struct.error
+    stream = Bitstream(**_header_fields())
+    for name, value in (("width", 70000), ("payload", b""), ("seed", 2)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(stream, name, value)
+    assert stream.to_bytes() == Bitstream(**_header_fields()).to_bytes()
+    with pytest.raises(CodecError) as e:
+        dataclasses.replace(stream, width=70000)
+    assert e.value.code == "header-field-overflow"
 
 
 def test_decode_refuses_hostile_matrix_size(monkeypatch):

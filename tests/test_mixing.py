@@ -262,6 +262,28 @@ def test_stream_zero_group():
     assert all(np.all(mv.values == 0) and mv.values.shape == (128,) for mv in out)
 
 
+def test_finish_returns_the_locked_sums():
+    rng = np.random.default_rng(11)
+    matrix = gen_mixing_matrix(5, 32, 256)
+    grid = BlockGrid.for_dims(64, 48, 8)
+    acc = StreamAccumulator(matrix, grid, 4)
+    for j, res in enumerate(_random_group(rng)):
+        acc.push(res, j)
+    sums = acc.partial
+    out = acc.finish()
+    assert out.values.shape == (grid.num_blocks, 32) and np.shares_memory(out.values, sums)
+    assert not out.values.flags.writeable
+    with pytest.raises(ValueError):
+        out.values[0, 0] = 1.0
+    assert len(out) == grid.num_blocks
+    for i, (mv, pos) in enumerate(zip(out, grid.positions(), strict=True)):
+        assert isinstance(mv, MeasurementVector) and mv.grid_position == pos
+        assert np.array_equal(mv.values, out.values[i])
+    assert out[-1].grid_position == (grid.cols - 1, grid.rows - 1)
+    with pytest.raises(IndexError):
+        out[grid.num_blocks]
+
+
 def test_stream_equals_batch():
     # n = 1 and 9 check push's choice of tile columns beyond the 2x2 layout
     rng = np.random.default_rng(10)
