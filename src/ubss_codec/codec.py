@@ -55,7 +55,8 @@ MAX_MATRIX_BYTES = 256 * 2 ** 20
 # 32, the largest any test builds. The u-step's other state is an m x k
 # float64 copy of the matrix in the DCT basis, the matrix's own bytes, and
 # the m x m float64 eigenbasis Q of m^2 * 8 bytes, at most as many again
-# since m <= k: with the matrix, about 3 times its bytes per stream.
+# since m <= k: about 2 times the matrix's bytes per stream, as the decoder
+# builds that state from blocks of the matrix's rows and never draws it whole.
 MAX_COMPOSITE_SIDE = 128
 
 

@@ -12,7 +12,11 @@ bit-identically from the header fields (seed, m, k) using a fixed generator:
   are N(0, 1/m).
 
 This scheme is identified by ``GENERATOR_SPLITMIX64_BOXMULLER`` in the
-bitstream header.
+bitstream header. Draw i depends on (seed, i) alone, so a generated matrix is
+a function of (seed, m, k): any row range is drawn without the rest, by the
+one primitive _draw_normals, and the entries are drawn only when first read.
+The encoder reads them, once; the decoder's TV solver builds its u-step
+factor from blocks of rows and never draws the whole matrix.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 import math
 import numbers
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 
@@ -33,6 +37,11 @@ _U64_MASK = 0xFFFFFFFFFFFFFFFF
 _SM64_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _SM64_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _SM64_MIX2 = np.uint64(0x94D049BB133111EB)
+# Words per generator step: _draw_normals holds one step of uint64 beside its output.
+_STEP_WORDS = 8192
+# j * gamma (mod 2^64) for j = 1 .. _STEP_WORDS: words lo, lo + 1, ... start as
+# seed + lo * gamma plus these
+_STEP_GAMMAS = _locked(np.arange(1, _STEP_WORDS + 1, dtype=np.uint64) * _SM64_GAMMA)
 
 
 def _splitmix64(z: np.ndarray, scratch: np.ndarray) -> None:
@@ -43,74 +52,114 @@ def _splitmix64(z: np.ndarray, scratch: np.ndarray) -> None:
     z ^= np.right_shift(z, np.uint64(31), out=scratch)
 
 
-def _standard_normals(seed: int, count: int) -> np.ndarray:
-    """The first `count` N(0, 1) draws of the scheme above, a float64 view of one of two buffers.
+def _draw_normals(seed: int, start: int, out: np.ndarray) -> None:
+    """Write N(0, 1) draws start, start + 1, ... of the scheme above into the float64 vector out.
 
-    The words, the uniforms and the normals share two buffers of 2 * ceil(count / 2)
-    uint64 words: SplitMix64 runs in place in the first, the uniforms are
-    written to the second's float64 view and Box-Muller's output to the first's.
+    Whole Box-Muller pairs run in steps of _STEP_WORDS words in the output
+    itself plus one step of uint64 scratch: SplitMix64 runs in place in the
+    output's uint64 view with the scratch holding its shifts, the uniforms
+    are written to the scratch's float64 view and Box-Muller's output back
+    to the output. An odd start draws its pair's cosine and drops it, and an
+    odd end its pair's sine.
     """
-    size = 2 * ((count + 1) // 2)
-    words = np.arange(1, size + 1, dtype=np.uint64)
-    scratch = np.empty(size, np.uint64)
-    words *= _SM64_GAMMA
-    words += np.uint64(int(seed) & _U64_MASK)
-    _splitmix64(words, scratch)
-    # the shifted words are below 2^53, so the float64 copy is exact
-    u = scratch.view(np.float64)
-    np.copyto(u, np.right_shift(words, np.uint64(11), out=words))
-    u += 0.5
-    u *= 2.0 ** -53
-    r, theta = u[0::2], u[1::2]
-    np.log(r, out=r)
-    r *= -2.0
-    np.sqrt(r, out=r)
-    theta *= 2.0 * np.pi
-    out = words.view(np.float64)
-    np.cos(theta, out=out[0::2])
-    out[0::2] *= r
-    np.sin(theta, out=out[1::2])
-    out[1::2] *= r
-    return out[:count]
+    if start % 2 and len(out):
+        pair = np.empty(2)
+        _draw_normals(seed, start - 1, pair)
+        out[0] = pair[1]
+        start, out = start + 1, out[1:]
+    if len(out) % 2:
+        pair = np.empty(2)
+        _draw_normals(seed, start + len(out) - 1, pair)
+        out[-1] = pair[0]
+        out = out[:-1]
+    scratch = np.empty(min(_STEP_WORDS, len(out)), np.uint64)
+    for lo in range(0, len(out), _STEP_WORDS):
+        normals = out[lo:lo + _STEP_WORDS]
+        z, size = normals.view(np.uint64), len(normals)
+        np.add(_STEP_GAMMAS[:size], np.uint64((seed + (start + lo) * int(_SM64_GAMMA)) & _U64_MASK),
+               out=z)
+        _splitmix64(z, scratch[:size])
+        # the shifted words are below 2^53, so the float64 copy is exact
+        u = scratch[:size].view(np.float64)
+        np.copyto(u, np.right_shift(z, np.uint64(11), out=z))
+        u += 0.5
+        u *= 2.0 ** -53
+        r, theta = u[0::2], u[1::2]
+        np.log(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        theta *= 2.0 * np.pi
+        np.cos(theta, out=normals[0::2])
+        normals[0::2] *= r
+        np.sin(theta, out=normals[1::2])
+        normals[1::2] *= r
 
 
-@dataclass
 class MixingMatrix:
-    """An m-by-k measurement matrix: its 2-D entries, of shape (m, k).
+    """An m-by-k measurement matrix, read-only: m rows, the measurements per
+    composite, and k columns, the pixels per composite.
 
-    gen_mixing_matrix draws seeded N(0, 1/m) entries; the identity
-    constructor below bypasses the generator, and such a matrix cannot
-    appear in a bitstream. The solver caches the TV u-step's factor, which
-    depends on the entries alone and serves every penalty, on the matrix, so
-    it is freed with it; entries must not change after the first solve.
+    gen_mixing_matrix makes one from (seed, m, k) alone: its entries, seeded
+    N(0, 1/m) draws, are drawn only when first read, and rows() draws any
+    row range without the rest. MixingMatrix(entries) holds a locked float64
+    copy of given 2-D entries; the identity constructor below is one such,
+    and neither can appear in a bitstream. No attribute but the solver's
+    cache can be set after construction, so the TV u-step factor that the
+    solver caches on the matrix, which depends on the entries alone and
+    serves every penalty, cannot go stale; it is freed with the matrix.
     """
 
-    entries: np.ndarray
-    _solver_cache: object = field(default=None, init=False, repr=False, compare=False)
+    def __init__(self, entries):
+        entries = np.array(entries, dtype=np.float64, subok=True)
+        if entries.ndim != 2:
+            raise CodecError("shape-mismatch", f"entries must be 2-D, got shape {entries.shape}")
+        self._init(*entries.shape, None, _locked(entries))
 
-    def __post_init__(self):
-        if np.ndim(self.entries) != 2:
-            raise CodecError("shape-mismatch",
-                             f"entries must be 2-D, got shape {np.shape(self.entries)}")
+    def _init(self, m, k, seed, entries):
+        for name, value in (("m", m), ("k", k), ("_seed", seed), ("_entries", entries),
+                            ("_solver_cache", None)):
+            object.__setattr__(self, name, value)
 
-    m = property(lambda self: self.entries.shape[0], doc="Rows: measurements per composite.")
-    k = property(lambda self: self.entries.shape[1], doc="Columns: pixels per composite.")
+    def __setattr__(self, name, value):
+        if name != "_solver_cache":
+            raise FrozenInstanceError(f"cannot assign to MixingMatrix.{name}")
+        object.__setattr__(self, name, value)
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The locked (m, k) entries; a generated matrix draws them, in place, on the first read."""
+        if self._entries is None:
+            object.__setattr__(self, "_entries", _locked(self.rows(0, self.m)))
+        return self._entries
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """Rows [start, stop) of the entries: a view once they are drawn, else fresh draws."""
+        if not (isinstance(start, numbers.Integral) and isinstance(stop, numbers.Integral)
+                and 0 <= start <= stop <= self.m):
+            raise CodecError("index-out-of-range",
+                             f"rows [{start!r}, {stop!r}) not within the {self.m} rows")
+        if self._entries is not None:
+            return self._entries[start:stop]
+        out = np.empty((stop - start, self.k))
+        _draw_normals(self._seed, start * self.k, out.reshape(-1))
+        out /= math.sqrt(self.m)  # a division: multiplying by 1/sqrt(m) rounds differently
+        return out
 
     @classmethod
     def identity(cls, k: int) -> "MixingMatrix":
         """Square identity matrix for tests and diagnostics (m = k)."""
-        return cls(_locked(np.eye(k)))
+        return cls(np.eye(k))
 
 
 def gen_mixing_matrix(seed: int, m: int, k: int) -> MixingMatrix:
-    """Generate the measurement matrix deterministically from (seed, m, k)."""
+    """The measurement matrix of (seed, m, k); its entries are drawn when first read."""
     if not (isinstance(m, numbers.Integral) and isinstance(k, numbers.Integral) and 1 <= m <= k):
         raise CodecError("invalid-shape", f"need integers 1 <= m <= k, got m={m!r} k={k!r}")
     if not isinstance(seed, numbers.Integral):
         raise CodecError("non-integer-field", f"seed={seed!r} is not an integer")
-    entries = _standard_normals(seed, m * k)
-    entries /= math.sqrt(m)  # a division: multiplying by 1/sqrt(m) rounds differently
-    return MixingMatrix(_locked(entries.reshape(m, k)))
+    matrix = MixingMatrix.__new__(MixingMatrix)
+    matrix._init(int(m), int(k), int(seed) & _U64_MASK, None)
+    return matrix
 
 
 def compute_residual(frame: Frame, key: Frame) -> ResidualFrame:

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CodecError
-from .mixing import MeasurementVector, MixingMatrix
+from .mixing import _STEP_WORDS, MeasurementVector, MixingMatrix
 
 # Relative-change denominator floor.
 _REL_FLOOR = 1e-8
@@ -198,22 +198,31 @@ class _UStep:
     the basis V (x) V, 1 along q), Q and lam, the eigendecomposition of
     G = Ahat Ahat^T for Ahat = A (V (x) V) eig^-1/2, At = Q^T Ahat, the m x k
     spectral copy of A in G's eigenbasis, and h = At[:, 0] = Q^T A q. Q takes
-    m^2 float64. It keeps no reference to A: an outer iteration reads only At.
+    m^2 float64. It reads A, a MixingMatrix, by blocks of rows and keeps no
+    reference to it: an outer iteration reads only At.
     """
 
-    def __init__(self, A, side):
+    def __init__(self, matrix, side):
         j = np.arange(side)
         V = math.sqrt(2 / side) * np.cos(np.pi * np.outer(j + 0.5, j) / side)
         V[:, 0] = side ** -0.5
         lap = 2 - 2 * np.cos(np.pi * j / side)  # L's eigenvalues
         root = np.sqrt(lap[:, None] + lap[None, :])
         root[0, 0] = 1.0  # M's eigenvalue along q is beta
-        # each row of Ahat is V^T A_i V scaled, so that A M^-1 A^T = Ahat Ahat^T / beta
-        At = A.reshape(-1, side, side) @ V
+        # each row of Ahat is V^T A_i V scaled, so that A M^-1 A^T = Ahat Ahat^T / beta.
+        # A is read by blocks of rows, drawn if the matrix has not drawn its entries,
+        # so it never exists whole. A block holds at most one generator step and m^2
+        # entries: it and the generator's scratch take no more than G and Q below
+        m = matrix.m
+        At = np.empty((m, side, side))
+        block = max(1, min(_STEP_WORDS, m * m) // matrix.k)
+        for start in range(0, m, block):
+            rows = matrix.rows(start, min(start + block, m))
+            np.matmul(rows.reshape(-1, side, side), V, out=At[start:start + len(rows)])
         for row in At:
             row[...] = V.T @ row
         At /= root
-        At = At.reshape(len(A), side * side)
+        At = At.reshape(m, side * side)
         G = At @ At.T
         if not np.all(np.isfinite(G)):
             raise CodecError("non-finite-value", "A has a non-finite or huge entry")
@@ -271,7 +280,7 @@ def solve_tv(matrix: MixingMatrix, b: MeasurementVector, side: int,
     if scale == 0.0:
         scale = 1.0
     if matrix._solver_cache is None:
-        matrix._solver_cache = _UStep(matrix.entries, side)
+        matrix._solver_cache = _UStep(matrix, side)
     u_step = matrix._solver_cache
     weights = u_step.weights(params.beta / params.mu)
     V = u_step.V

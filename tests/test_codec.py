@@ -20,6 +20,10 @@ def _no_matrix(*args):
     raise AssertionError("gen_mixing_matrix called")
 
 
+def _no_draw(*args):
+    raise AssertionError("mixing matrix entries drawn")
+
+
 def _static_frames(count=5, w=32, h=32, value=17):
     return [Frame(np.full((h, w), value, np.uint8)) for _ in range(count)]
 
@@ -218,10 +222,13 @@ def test_pipeline_calls_the_hooked_names(monkeypatch):
                      "disassemble_composite": active, "push": 2 * 4, "finish": 2,
                      "solve_tv": active, "gop_measurements": 2}
 
-    # a static sequence measures all zeros: nothing is solved, the keys come back
+    # a static sequence measures all zeros: nothing is solved and no entry of
+    # the matrix is drawn, the keys come back
     calls.update(dict.fromkeys(calls, 0))
     frames = _static_frames()
-    decoded = decode_sequence(encode_sequence(frames, CodecConfig(block_size=8)))
+    stream = encode_sequence(frames, CodecConfig(block_size=8))
+    monkeypatch.setattr(mixing_mod, "_draw_normals", _no_draw)
+    decoded = decode_sequence(stream)
     assert [f.pixels.tolist() for f in decoded] == [f.pixels.tolist() for f in frames]
     assert calls == {"gen_mixing_matrix": 2, "compute_residual": 4,
                      "disassemble_composite": 0, "push": 4, "finish": 1,
@@ -406,8 +413,16 @@ def test_decode_refuses_hostile_matrix_size(monkeypatch):
 
 def test_decode_builds_u_step_once_per_stream(monkeypatch):
     # every composite of a stream shares the matrix, so its u-step factor is
-    # built on the first active composite and reused by the rest
-    builds = []
+    # built on the first active composite and reused by the rest; the build
+    # reads the matrix by blocks of rows, so its entries are never drawn whole
+    builds, matrices = [], []
+    gen = codec_mod.gen_mixing_matrix
+
+    def recorded(*args):
+        matrices.append(gen(*args))
+        return matrices[-1]
+
+    monkeypatch.setattr(codec_mod, "gen_mixing_matrix", recorded)
 
     class Counted(tv_mod._UStep):
         def __init__(self, *args):
@@ -420,6 +435,8 @@ def test_decode_builds_u_step_once_per_stream(monkeypatch):
     assert stream.num_gops == 2 and all(stream.gop_measurements(i).any() for i in (0, 1))
     decode_sequence(Bitstream.from_bytes(stream.to_bytes()))
     assert len(builds) == 1
+    assert len(matrices) == 2 and matrices[0]._entries is not None  # encoder, decoder
+    assert matrices[1]._entries is None and matrices[1]._solver_cache is not None
 
 
 def _last_gop_writer(fmt):

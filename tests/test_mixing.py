@@ -61,11 +61,21 @@ def _scalar_generator(seed, m, k):
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2 ** 64 - 1])
-@pytest.mark.parametrize("m, k", [(1, 1), (3, 5), (5, 7), (16, 64)])
+@pytest.mark.parametrize("m, k", [(1, 1), (3, 5), (5, 7), (16, 64), (3, 2731), (5, 3277)])
 def test_generator_matches_scalar_scheme(seed, m, k):
-    # odd m * k included: the last pair's sine is drawn and dropped
-    entries = gen_mixing_matrix(seed, m, k).entries
+    # odd m * k included: the last pair's sine is drawn and dropped. Every row
+    # range is also drawn alone: with odd k, a range can start on a pair's
+    # sine, and at k = 2731 and 3277 ranges of more than 8192 draws take more
+    # than one generator step
+    matrix = gen_mixing_matrix(seed, m, k)
+    entries = matrix.entries
     assert entries.tobytes() == _scalar_generator(seed, m, k).tobytes()
+    for start in range(m):
+        for stop in range(start + 1, m + 1):
+            rows = gen_mixing_matrix(seed, m, k).rows(start, stop)
+            assert rows.tobytes() == entries[start:stop].tobytes(), (start, stop)
+            # once the entries are drawn, a row range is a view of them
+            assert np.shares_memory(matrix.rows(start, stop), entries)
 
 
 def test_generator_bytes_pinned():
@@ -77,14 +87,14 @@ def test_generator_bytes_pinned():
 
 
 def test_generator_memory_peak():
-    # two buffers of the matrix's size: the words, then the uniforms beside them
+    # the entries are drawn in place, beside one 8192-word step of scratch
     tracemalloc.start()
     try:
         entries = gen_mixing_matrix(7, 256, 1024).entries
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.1 * entries.nbytes
+    assert peak <= 1.1 * entries.nbytes
 
 
 def test_generator_invalid_shapes():
@@ -377,10 +387,13 @@ def _finished_accumulator():
     (lambda: gen_mixing_matrix(1, 16.0, 256), "invalid-shape"),
     (lambda: gen_mixing_matrix(1, 16, 256.0), "invalid-shape"),
     (lambda: gen_mixing_matrix(1.5, 16, 256), "non-integer-field"),
+    (lambda: gen_mixing_matrix(1, 4, 16).rows(3, 5), "index-out-of-range"),
+    (lambda: MixingMatrix.identity(4).rows(-1, 2), "index-out-of-range"),
 ], ids=["assemble-two-sizes", "disassemble-n-3", "disassemble-5x5", "disassemble-4x6",
         "composite-4x6", "composite-1d", "accumulator-n-3", "accumulator-k-mismatch",
         "push-after-finish", "push-wrong-size", "disassemble-n-float", "accumulator-n-float",
-        "generator-m-float", "generator-k-float", "generator-seed-float"])
+        "generator-m-float", "generator-k-float", "generator-seed-float", "rows-past-m",
+        "rows-negative"])
 def test_refusal_codes(call, code):
     with pytest.raises(CodecError) as e:
         call()

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -245,7 +246,7 @@ def _u_step(A, side, t, r, beta, mu):
 
     The u-step takes r and returns d in the eigenbasis Q of its factor.
     """
-    step = _UStep(A, side)
+    step = _UStep(MixingMatrix(A), side)
     uhat, d = step(t, r @ step.Q, *step.weights(beta / mu))
     return step.V @ uhat @ step.V.T, r + step.Q @ d
 
@@ -294,17 +295,59 @@ def test_one_u_step_factor_serves_every_penalty(monkeypatch):
     assert len(builds) == 1
 
 
+def test_matrix_is_read_only():
+    # the solver caches its u-step factor on the matrix: replacing the entries
+    # after a solve would leave the factor stale, so no field can be set, and
+    # the entries, a generated matrix's or a copy of given ones, are locked
+    img = _square_image(16, 3, 10, 80.0)
+    matrix = gen_mixing_matrix(5, 64, 256)
+    b = MeasurementVector((0, 0), matrix.entries @ img.ravel())
+    solve_tv(matrix, b, 16, SolverParams(max_outer=5))
+    for name, value in (("entries", gen_mixing_matrix(6, 64, 256).entries),
+                        ("entries", gen_mixing_matrix(6, 32, 256).entries), ("m", 32), ("k", 64)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(matrix, name, value)
+    with pytest.raises(ValueError):
+        matrix.entries[0, 0] = 1.0
+    given = np.eye(4, 16)
+    wrapped = MixingMatrix(given)
+    given[0, 0] = 5.0
+    assert wrapped.entries[0, 0] == 1.0
+    with pytest.raises(ValueError):
+        wrapped.entries[0, 0] = 2.0
+
+
 def test_u_step_factor_build_memory():
     # the build holds the m x k spectral copy, G and Q: rotating the copy by Q
     # a block of columns at a time keeps the peak near 1.5 times the matrix
-    entries = gen_mixing_matrix(9, 256, 1024).entries
+    matrix = gen_mixing_matrix(9, 256, 1024)
+    entries = matrix.entries
     tracemalloc.start()
     try:
-        _UStep(entries, 32)
+        _UStep(matrix, 32)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 1.6 * entries.nbytes
+
+
+def test_u_step_factor_build_memory_undrawn():
+    # the decoder's case: the build draws the matrix a block of rows at a time
+    # inside the measured region, within the same bound, and leaves it undrawn;
+    # its factor is the one built from the drawn entries, byte for byte
+    matrix = gen_mixing_matrix(9, 256, 1024)
+    tracemalloc.start()
+    try:
+        step = _UStep(matrix, 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert matrix._entries is None
+    assert peak <= 1.6 * 256 * 1024 * 8
+    drawn = gen_mixing_matrix(9, 256, 1024)
+    reference = _UStep(MixingMatrix(drawn.entries), 32)
+    for name in ("At", "Q", "lam", "h"):
+        assert getattr(step, name).tobytes() == getattr(reference, name).tobytes(), name
 
 
 # --- solve_tv ---------------------------------------------------------------
