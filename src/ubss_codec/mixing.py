@@ -15,8 +15,9 @@ This scheme is identified by ``GENERATOR_SPLITMIX64_BOXMULLER`` in the
 bitstream header. Draw i depends on (seed, i) alone, so a generated matrix is
 a function of (seed, m, k): any row range is drawn without the rest, by the
 one primitive _draw_normals, and the entries are drawn only when first read.
-The encoder reads them, once; the decoder's TV solver builds its u-step
-factor from blocks of rows and never draws the whole matrix.
+The encoder draws them, once, at the first push with a changed block, so a
+sequence with no change draws nothing; the decoder's TV solver builds its
+u-step factor from blocks of rows and never draws the whole matrix.
 """
 
 from __future__ import annotations
@@ -253,7 +254,10 @@ class StreamAccumulator:
     Only the running (num_blocks, m) partial sums are held, never a frame
     group: pushing frame j adds A'_j times each of its blocks, where A'_j is
     the column sub-block of the mixing matrix for tile j of the t x t
-    composite, t = sqrt(n). finish() consumes the accumulator: partial is None.
+    composite, t = sqrt(n). An all-zero block adds nothing, so push gathers
+    and multiplies only the blocks with a nonzero pixel: its work and memory
+    are proportional to the changed blocks. finish() consumes the
+    accumulator: partial is None.
     """
 
     def __init__(self, matrix: MixingMatrix, grid: BlockGrid, n: int):
@@ -278,13 +282,22 @@ class StreamAccumulator:
         if (residual.height, residual.width) != (self.grid.rows * bs, self.grid.cols * bs):
             raise CodecError("dimension-mismatch",
                              f"residual {residual.width}x{residual.height} does not match grid")
+        self.frames_pushed += 1
+        rows, cols = self.grid.rows, self.grid.cols
+        # the blocks with a nonzero pixel; block (bx, by) is [by, :, bx, :], as in _split_blocks
+        view = residual.pixels.reshape(rows, bs, cols, bs)
+        by, bx = np.nonzero(np.bitwise_or.reduce(np.bitwise_or.reduce(view, axis=1), axis=2))
+        if not len(by):
+            return  # an all-zero frame adds nothing and reads no entry of the matrix
         m, t = self.matrix.m, self.t
         ty, tx = divmod(frame_index_in_group, t)
         # columns of A that multiply tile (tx, ty) of the composite
         sub = self.matrix.entries.reshape(m, t, bs, t, bs)[:, ty, :, tx, :].reshape(m, bs * bs)
-        blocks = _split_blocks(residual.pixels, bs).reshape(self.grid.num_blocks, bs * bs)
-        self.partial += blocks.astype(np.float64) @ sub.T
-        self.frames_pushed += 1
+        changed = np.ravel_multi_index((by, bx), (rows, cols))
+        # the float64 block stack is freed before the changed rows are read back
+        product = view[by, :, bx, :].reshape(len(by), bs * bs).astype(np.float64) @ sub.T
+        product += self.partial.take(changed, axis=0)
+        self.partial[changed] = product
 
     def finish(self) -> GroupMeasurements:
         """The locked (num_blocks, m) sums, one row per block position in grid order; consumes."""

@@ -222,12 +222,13 @@ def test_pipeline_calls_the_hooked_names(monkeypatch):
                      "disassemble_composite": active, "push": 2 * 4, "finish": 2,
                      "solve_tv": active, "gop_measurements": 2}
 
-    # a static sequence measures all zeros: nothing is solved and no entry of
-    # the matrix is drawn, the keys come back
+    # a static sequence measures all zeros: every frame is still pushed, but
+    # nothing is solved and neither side draws an entry of the matrix; the
+    # keys come back
     calls.update(dict.fromkeys(calls, 0))
     frames = _static_frames()
-    stream = encode_sequence(frames, CodecConfig(block_size=8))
     monkeypatch.setattr(mixing_mod, "_draw_normals", _no_draw)
+    stream = encode_sequence(frames, CodecConfig(block_size=8))
     decoded = decode_sequence(stream)
     assert [f.pixels.tolist() for f in decoded] == [f.pixels.tolist() for f in frames]
     assert calls == {"gen_mixing_matrix": 2, "compute_residual": 4,

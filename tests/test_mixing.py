@@ -294,20 +294,60 @@ def test_finish_returns_the_locked_sums():
         out[grid.num_blocks]
 
 
+def _sparse_group(rng, bs, h=48, w=64, n=4):
+    """Residuals with about a third of their blocks nonzero: frame 1 is all zero, block
+    (0, 0) is zero in every frame, and block (2, 1) of frame 0 is zero but for its last pixel."""
+    keep = rng.random((n, h // bs, w // bs)) < 0.3
+    keep[1] = keep[:, 0, 0] = False
+    pixels = rng.integers(-255, 256, size=(n, h, w)) * keep.repeat(bs, axis=1).repeat(bs, axis=2)
+    pixels[0, bs:2 * bs, 2 * bs:3 * bs] = 0
+    pixels[0, 2 * bs - 1, 3 * bs - 1] = 1
+    return [ResidualFrame(p) for p in pixels]
+
+
 def test_stream_equals_batch():
-    # n = 1 and 9 check push's choice of tile columns beyond the 2x2 layout
+    # n = 1 and 9 check push's choice of tile columns beyond the 2x2 layout; the
+    # sparse group checks that push skips the all-zero blocks and only those
     rng = np.random.default_rng(10)
-    for n, bs, m in ((4, 16, 256), (1, 4, 8), (9, 4, 36)):
+    for n, bs, m, sparse in ((4, 16, 256, False), (1, 4, 8, False), (9, 4, 36, False),
+                             (4, 8, 64, True)):
         matrix = gen_mixing_matrix(77, m, n * bs * bs)
         grid = BlockGrid.for_dims(64, 48, bs)
-        residuals = _random_group(rng, n=n)
+        residuals = _sparse_group(rng, bs, n=n) if sparse else _random_group(rng, n=n)
         acc = StreamAccumulator(matrix, grid, n)
         for j, res in enumerate(residuals):
             acc.push(res, j)
         streamed = acc.finish()
+        zero_rows = 0
         for mv, (bx, by) in zip(streamed, grid.positions()):
-            batch = mix_batch(matrix, assemble_composite(residuals, (bx, by), bs))
+            composite = assemble_composite(residuals, (bx, by), bs)
+            batch = mix_batch(matrix, composite)
             assert np.max(np.abs(mv.values - batch.values)) <= 1e-9
+            if not composite.values.any():
+                assert np.all(mv.values == 0)
+                zero_rows += 1
+        assert zero_rows or not sparse  # block (0, 0) of the sparse group is zero throughout
+
+
+def test_push_memory_scales_with_changed_blocks():
+    # one nonzero block of a 352x288 frame: push gathers and multiplies that
+    # block alone, never the float64 stack of all 1584 blocks
+    grid = BlockGrid.for_dims(352, 288, 8)
+    matrix = gen_mixing_matrix(4, 16, 4 * 64)
+    assert matrix.entries.shape == (16, 256)  # drawn before tracing
+    acc = StreamAccumulator(matrix, grid, 4)
+    pixels = np.zeros((288, 352), np.int16)
+    pixels[96:104, 200:208] = 9
+    residual = ResidualFrame(pixels)
+    tracemalloc.start()
+    try:
+        acc.push(residual, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    dense_stack = grid.num_blocks * 64 * 8
+    assert peak <= dense_stack / 8
+    assert np.count_nonzero(acc.partial.any(axis=1)) == 1
 
 
 def test_stream_out_of_order():
