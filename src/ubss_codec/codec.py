@@ -340,10 +340,13 @@ def encode_sequence(frames, config: CodecConfig) -> Bitstream:
 def decode_sequence(stream: Bitstream, solver_params: tv.SolverParams | None = None):
     """Decode every frame: keys verbatim, coded frames via TV separation.
 
-    Only composites with a nonzero measurement are solved; an all-zero one
-    recovers as zero, which is what the solver would return for it. When any
-    composite stops on the solver's max_outer cap, one WARNING on the
-    "ubss_codec" logger gives the count for the stream.
+    Each GOP is rebuilt in place in one (n, height, width) uint8 array that
+    starts as n copies of the key (of zeros for the non-residual ablation).
+    Only composites with a nonzero measurement are solved, and only their
+    blocks are rounded in: an all-zero composite decodes as its key's block,
+    which is what solving it would give. When any composite stops on the
+    solver's max_outer cap, one WARNING on the "ubss_codec" logger gives the
+    count for the stream.
     """
     if stream.generator_id != GENERATOR_SPLITMIX64_BOXMULLER:
         raise CodecError("unknown-generator", f"generator id {stream.generator_id}")
@@ -355,28 +358,20 @@ def decode_sequence(stream: Bitstream, solver_params: tv.SolverParams | None = N
     out = []
     active = capped = 0
     for i in range(stream.num_gops):
-        recovered = np.zeros((n, stream.height, stream.width))
+        key = stream.gop_key(i)
+        base = np.zeros_like(key.pixels) if stream.non_residual else key.pixels
+        frames = np.repeat(base[None], n, axis=0)
         rows = stream.gop_measurements(i)
         solved = np.flatnonzero(rows.any(axis=1))
         for j in solved:
             by, bx = divmod(int(j), cols)
             result = tv.solve_tv(matrix, MeasurementVector((bx, by), rows[j]), side, params)
             capped += result.stop_reason == "cap"
-            recovered[:, by * bs:(by + 1) * bs, bx * bs:(bx + 1) * bs] = \
-                disassemble_composite(result.u, n)
+            block = frames[:, by * bs:(by + 1) * bs, bx * bs:(bx + 1) * bs]
+            block[...] = np.clip(np.rint(block + disassemble_composite(result.u, n)), 0, 255)
         active += len(solved)
-        # the measurements are freed before the frames are rebuilt, and the key
-        # is copied only after the solves; either would add to the memory peak
-        del rows
-        key = stream.gop_key(i)
         out.append(key)
-        # the frames are rebuilt in place, so the GOP's float64 block is the
-        # only full-size float array
-        if not stream.non_residual:
-            recovered += key.pixels
-        np.rint(recovered, out=recovered)
-        np.clip(recovered, 0, 255, out=recovered)
-        out.extend(Frame(r.astype(np.uint8)) for r in recovered)
+        out.extend(Frame(f) for f in frames)
     if capped:
         _log.warning("%d of %d active composites stopped at max_outer=%d",
                      capped, active, params.max_outer)

@@ -56,23 +56,12 @@ def _splitmix64(z: np.ndarray, scratch: np.ndarray) -> None:
 def _draw_normals(seed: int, start: int, out: np.ndarray) -> None:
     """Write N(0, 1) draws start, start + 1, ... of the scheme above into the float64 vector out.
 
-    Whole Box-Muller pairs run in steps of _STEP_WORDS words in the output
-    itself plus one step of uint64 scratch: SplitMix64 runs in place in the
-    output's uint64 view with the scratch holding its shifts, the uniforms
-    are written to the scratch's float64 view and Box-Muller's output back
-    to the output. An odd start draws its pair's cosine and drops it, and an
-    odd end its pair's sine.
+    start and len(out) are even: out holds whole Box-Muller pairs. They run
+    in steps of _STEP_WORDS words in the output itself plus one step of
+    uint64 scratch: SplitMix64 runs in place in the output's uint64 view
+    with the scratch holding its shifts, the uniforms are written to the
+    scratch's float64 view and Box-Muller's output back to the output.
     """
-    if start % 2 and len(out):
-        pair = np.empty(2)
-        _draw_normals(seed, start - 1, pair)
-        out[0] = pair[1]
-        start, out = start + 1, out[1:]
-    if len(out) % 2:
-        pair = np.empty(2)
-        _draw_normals(seed, start + len(out) - 1, pair)
-        out[-1] = pair[0]
-        out = out[:-1]
     scratch = np.empty(min(_STEP_WORDS, len(out)), np.uint64)
     for lo in range(0, len(out), _STEP_WORDS):
         normals = out[lo:lo + _STEP_WORDS]
@@ -141,8 +130,12 @@ class MixingMatrix:
                              f"rows [{start!r}, {stop!r}) not within the {self.m} rows")
         if self._entries is not None:
             return self._entries[start:stop]
-        out = np.empty((stop - start, self.k))
-        _draw_normals(self._seed, start * self.k, out.reshape(-1))
+        # the whole Box-Muller pairs that cover draws [lo, hi); an odd k can start
+        # the range on a pair's sine or end it on a pair's cosine
+        lo, hi = start * self.k, stop * self.k
+        draws = np.empty(hi + hi % 2 - (lo - lo % 2))
+        _draw_normals(self._seed, lo - lo % 2, draws)
+        out = draws[lo % 2:lo % 2 + hi - lo].reshape(stop - start, self.k)
         out /= math.sqrt(self.m)  # a division: multiplying by 1/sqrt(m) rounds differently
         return out
 
@@ -168,7 +161,7 @@ def compute_residual(frame: Frame, key: Frame) -> ResidualFrame:
     if (frame.height, frame.width) != (key.height, key.width):
         raise CodecError("dimension-mismatch",
                          f"{frame.width}x{frame.height} vs key {key.width}x{key.height}")
-    return ResidualFrame(frame.pixels.astype(np.int16) - key.pixels.astype(np.int16))
+    return ResidualFrame(np.subtract(frame.pixels, key.pixels, dtype=np.int16))
 
 
 @dataclass

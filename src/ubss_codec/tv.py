@@ -212,15 +212,14 @@ class _UStep:
         # each row of Ahat is V^T A_i V scaled, so that A M^-1 A^T = Ahat Ahat^T / beta.
         # A is read by blocks of rows, drawn if the matrix has not drawn its entries,
         # so it never exists whole. A block holds at most one generator step and m^2
-        # entries: it and the generator's scratch take no more than G and Q below
+        # entries: it, its product with V and the generator's scratch take at most
+        # about 1.5 times G and Q below
         m = matrix.m
         At = np.empty((m, side, side))
         block = max(1, min(_STEP_WORDS, m * m) // matrix.k)
         for start in range(0, m, block):
             rows = matrix.rows(start, min(start + block, m))
-            np.matmul(rows.reshape(-1, side, side), V, out=At[start:start + len(rows)])
-        for row in At:
-            row[...] = V.T @ row
+            np.matmul(V.T, rows.reshape(-1, side, side) @ V, out=At[start:start + len(rows)])
         At /= root
         At = At.reshape(m, side * side)
         G = At @ At.T

@@ -3,6 +3,7 @@ import hashlib
 import logging
 import re
 import struct
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -254,6 +255,19 @@ def test_encoder_builds_no_measurement_vector(monkeypatch):
     assert len(built) == 5
 
 
+def _inverted_square_frames():
+    # left half 0, right half 255, and a 12 x 12 square that moves 2 px a frame
+    # across the edge with its pixels inverted: decoded values leave [0, 255]
+    # before the clip (-227 to 373 residual, to 435 non-residual)
+    frames = []
+    for i in range(7):
+        a = np.zeros((32, 48), np.uint8)
+        a[:, 24:] = 255
+        a[8:20, 4 + 2 * i:16 + 2 * i] = 255 - a[8:20, 4 + 2 * i:16 + 2 * i]
+        frames.append(Frame(a))
+    return frames
+
+
 # sha256 of the stream bytes and of the decoded frames' pixels: a change to
 # the encoder's or the decoder's plumbing must move neither
 @pytest.mark.parametrize("frames, config, stream_sha, frames_sha", [
@@ -265,7 +279,15 @@ def test_encoder_builds_no_measurement_vector(monkeypatch):
      CodecConfig(block_size=8, sampling_rate=0.5, seed=5, measurement_format="q16"),
      "4822c5d4abd1bea821ab6499ea98986f974732a72fc1c6b19e450d1227fb9809",
      "ae080a4d6c73eb7f278e329564ed6864eb9f60356b4b0a2ea041579141e64e2d"),
-], ids=["f32", "q16"])
+    (_inverted_square_frames,
+     CodecConfig(block_size=8, sampling_rate=0.15, seed=9),
+     "23379a6c22d80c9111238898c04f489070c9632b7dad6f4491428df1668623eb",
+     "d3d72487737b28703928f62f074b22b247146bf637f5ba0718d22f3a1ac05739"),
+    (_inverted_square_frames,
+     CodecConfig(block_size=8, sampling_rate=0.15, seed=9, residual_mode=False),
+     "27576ccdc359d792798ac77a5dd3ba70a4fb379114aee99baca972eb4695c3e7",
+     "10536fc2f1256bf83ade556b92a456a19f4d1f8f403f6d68bef8fd689cf797cc"),
+], ids=["f32", "q16", "clip", "clip-non-residual"])
 def test_stream_and_decoded_frames_pinned(frames, config, stream_sha, frames_sha):
     data = encode_sequence(frames(), config).to_bytes()
     assert hashlib.sha256(data).hexdigest() == stream_sha
@@ -273,6 +295,21 @@ def test_stream_and_decoded_frames_pinned(frames, config, stream_sha, frames_sha
     for f in decode_sequence(Bitstream.from_bytes(data)):
         pixels.update(f.pixels.tobytes())
     assert pixels.hexdigest() == frames_sha
+
+
+def test_decode_memory_is_one_uint8_gop():
+    # one GOP with 4 active composites of 1584: the decoder rebuilds the GOP in
+    # place in uint8, so its peak stays below a float64 copy of the GOP
+    stream = encode_sequence(moving_square(352, 288, 5, square=8, step=1, start_x=20),
+                             CodecConfig(block_size=8, sampling_rate=0.25, seed=3))
+    assert np.count_nonzero(stream.gop_measurements(0).any(axis=1)) == 4
+    tracemalloc.start()
+    try:
+        decode_sequence(stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < stream.gop_n * stream.height * stream.width * 8
 
 
 def _header_fields(**changes):
