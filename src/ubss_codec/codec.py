@@ -46,18 +46,16 @@ _FIELDS = {"magic": "4s", "version": "B", "flags": "B", "generator_id": "B", "re
            "frame_count": "I", "seed": "Q", "m_per_block": "I"}
 _FRAMING = ("magic", "version", "flags", "reserved")
 _HEADER = struct.Struct("<" + "".join(_FIELDS.values()))
-# Largest m x k float64 mixing matrix the encoder builds or the decoder
-# regenerates from a header: 256 MiB, 32 times the 8 MiB of k = 1024 at rate 1.
-MAX_MATRIX_BYTES = 256 * 2 ** 20
 # Largest composite side, sqrt(gop_n) * block_size, a config or header may ask
-# for: the decoder's TV u-step takes dense products of side x side matrices,
-# which MAX_MATRIX_BYTES does not bound. 128 is the side of n = 16 at block
-# 32, the largest any test builds. The u-step's other state is an m x k
-# float64 copy of the matrix in the DCT basis, the matrix's own bytes, and
-# the m x m float64 eigenbasis Q of m^2 * 8 bytes, at most as many again
-# since m <= k: about 2 times the matrix's bytes per stream, as the decoder
-# builds that state from blocks of the matrix's rows and never draws it whole.
+# for: the decoder's TV u-step takes dense products of side x side matrices.
+# 128 is the side of n = 16 at block 32, the largest any test builds.
 MAX_COMPOSITE_SIDE = 128
+# Most measurements per composite, m, a config or header may ask for: the
+# decoder's u-step factor is an eigendecomposition of an m x m Gram matrix,
+# O(m^3) time, and holds an m x k spectral copy of the matrix beside two m x m
+# float64 arrays. With k = side^2, the m x k float64 mixing matrix is then at
+# most 2048 * 128^2 * 8 bytes = 256 MiB.
+MAX_MEASUREMENTS = 2048
 
 
 def _record(m: int, q16: bool) -> np.dtype:
@@ -92,18 +90,17 @@ def _check_fits(name: str, value: int) -> None:
 
 
 def _check_decoder_work(m: int, gop_n: int, block_size: int) -> None:
-    """Refuse a composite side or mixing matrix beyond MAX_COMPOSITE_SIDE or MAX_MATRIX_BYTES."""
+    """Refuse a composite side above MAX_COMPOSITE_SIDE or an m above MAX_MEASUREMENTS."""
     side = math.isqrt(gop_n) * block_size
     if side > MAX_COMPOSITE_SIDE:
         raise CodecError("resource-limit",
                          f"composite side {side} exceeds {MAX_COMPOSITE_SIDE}")
-    k = gop_n * block_size * block_size
-    if m * k * 8 > MAX_MATRIX_BYTES:
+    if m > MAX_MEASUREMENTS:
         raise CodecError("resource-limit",
-                         f"{m}x{k} mixing matrix exceeds {MAX_MATRIX_BYTES} bytes")
+                         f"{m} measurements per composite exceed {MAX_MEASUREMENTS}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CodecConfig:
     """Encoder settings; everything the bitstream header needs comes from here."""
 
@@ -309,7 +306,7 @@ def encode_sequence(frames, config: CodecConfig) -> Bitstream:
     _check_fits("height", height)
     grid = BlockGrid.for_dims(width, height, config.block_size)
     gops, trailing = segment_gops(frames, config.n)
-    matrix = gen_mixing_matrix(config.seed, config.m, config.k) if gops else None
+    matrix = gen_mixing_matrix(config.seed, config.m, config.k)
     q16 = config.measurement_format == "q16"
     # the non-residual ablation mixes the raw frames, i.e. subtracts an all-zero key
     zero_key = None if config.residual_mode else Frame(np.zeros((height, width), np.uint8))
@@ -344,15 +341,16 @@ def decode_sequence(stream: Bitstream, solver_params: tv.SolverParams | None = N
     starts as n copies of the key (of zeros for the non-residual ablation).
     Only composites with a nonzero measurement are solved, and only their
     blocks are rounded in: an all-zero composite decodes as its key's block,
-    which is what solving it would give. When any composite stops on the
-    solver's max_outer cap, one WARNING on the "ubss_codec" logger gives the
-    count for the stream.
+    which is what solving it would give. The mixing matrix is built for
+    every stream, and the first solve draws its entries, by blocks of rows,
+    into the u-step factor: a stream with no active composite draws none.
+    When any composite stops on the solver's max_outer cap, one WARNING on
+    the "ubss_codec" logger gives the count for the stream.
     """
     if stream.generator_id != GENERATOR_SPLITMIX64_BOXMULLER:
         raise CodecError("unknown-generator", f"generator id {stream.generator_id}")
     params = solver_params if solver_params is not None else tv.SolverParams()
-    matrix = gen_mixing_matrix(stream.seed, stream.m_per_block, stream.k) \
-        if stream.num_gops else None
+    matrix = gen_mixing_matrix(stream.seed, stream.m_per_block, stream.k)
     side, bs, n, cols = stream.composite_side, stream.block_size, stream.gop_n, stream.grid.cols
 
     out = []

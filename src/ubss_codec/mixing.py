@@ -91,16 +91,17 @@ class MixingMatrix:
 
     gen_mixing_matrix makes one from (seed, m, k) alone: its entries, seeded
     N(0, 1/m) draws, are drawn only when first read, and rows() draws any
-    row range without the rest. MixingMatrix(entries) holds a locked float64
-    copy of given 2-D entries; the identity constructor below is one such,
-    and neither can appear in a bitstream. No attribute but the solver's
-    cache can be set after construction, so the TV u-step factor that the
-    solver caches on the matrix, which depends on the entries alone and
-    serves every penalty, cannot go stale; it is freed with the matrix.
+    row range without the rest. MixingMatrix(entries) holds a locked copy of
+    given 2-D entries as a plain float64 ndarray, whatever array type they
+    come in; the identity constructor below is one such, and neither can
+    appear in a bitstream. No attribute but the solver's cache can be set
+    after construction, so the TV u-step factor that the solver caches on
+    the matrix, which depends on the entries alone and serves every
+    penalty, cannot go stale; it is freed with the matrix.
     """
 
     def __init__(self, entries):
-        entries = np.array(entries, dtype=np.float64, subok=True)
+        entries = np.array(entries, dtype=np.float64)
         if entries.ndim != 2:
             raise CodecError("shape-mismatch", f"entries must be 2-D, got shape {entries.shape}")
         self._init(*entries.shape, None, _locked(entries))

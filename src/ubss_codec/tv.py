@@ -62,7 +62,7 @@ _REL_FLOOR = 1e-8
 _MAG_FLOOR = math.ulp(0.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverParams:
     """Knobs of the augmented-Lagrangian TV solver.
 

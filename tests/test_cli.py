@@ -6,6 +6,7 @@ import pytest
 
 from ubss_codec import moving_square
 from ubss_codec.cli import SWEEP_COLUMNS, main
+from ubss_codec.codec import _HEADER, MAGIC, VERSION
 
 
 def _write_static_gray8(path, w=32, h=32, count=5, value=55):
@@ -95,6 +96,19 @@ def test_decode_of_a_directory_is_one_io_failure_line(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: io-failure")
+
+
+def test_decode_of_a_hostile_measurement_count_is_one_resource_limit_line(tmp_path, capsys):
+    # one GOP at side 64 with m = k = 4096 and f32 ones: 20,510 bytes whose
+    # u-step factor build would peak at 384 MiB
+    header = _HEADER.pack(MAGIC, VERSION, 0, 1, 0, 64, 64, 1, 64, 2, 1, 4096)
+    stream_path = tmp_path / "m4096.ubs"
+    stream_path.write_bytes(header + bytes(64 * 64) + np.ones(4096, "<f4").tobytes())
+    assert stream_path.stat().st_size == 20510
+    rc = main(["decode", str(stream_path), "--out", str(tmp_path / "dec")])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: resource-limit: ")
 
 
 def test_sweep_csv_shape_and_error_rows(tmp_path, capsys):

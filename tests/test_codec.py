@@ -60,13 +60,35 @@ def test_config_validation():
 
 
 def test_config_matrix_size_limit():
-    # the m x k float64 matrix may take at most MAX_MATRIX_BYTES: k = 16384
+    # a composite may take at most MAX_MEASUREMENTS measurements: k = 16384
     # allows m = 2048 exactly; one measurement more is refused
-    assert codec_mod.MAX_MATRIX_BYTES == 2048 * 16384 * 8
+    assert codec_mod.MAX_MEASUREMENTS == 2048
     assert CodecConfig(n=16, block_size=32, sampling_rate=2048 / 16384).m == 2048
     with pytest.raises(CodecError) as e:
         CodecConfig(n=16, block_size=32, sampling_rate=2049 / 16384)
     assert e.value.code == "resource-limit"
+    # so is m = k = 4096 at side 64, whose u-step factor build would peak
+    # at 384 MiB
+    with pytest.raises(CodecError) as e:
+        CodecConfig(n=1, block_size=64, sampling_rate=1.0)
+    assert e.value.code == "resource-limit"
+
+
+def test_configs_are_frozen():
+    # a field set after construction would skip every check: block 64 at
+    # n = 16 is composite side 256, and max_outer = 0 runs no iteration
+    cfg, params = CodecConfig(block_size=8), SolverParams()
+    for obj, name, value in ((cfg, "block_size", 64), (cfg, "n", 16), (cfg, "sampling_rate", 5.0),
+                             (params, "max_outer", 0)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, value)
+    # dataclasses.replace builds a checked copy
+    with pytest.raises(CodecError) as e:
+        dataclasses.replace(cfg, n=3)
+    assert e.value.code == "n-not-perfect-square"
+    with pytest.raises(CodecError) as e:
+        dataclasses.replace(params, max_outer=0)
+    assert e.value.code == "invalid-solver-params"
 
 
 def test_config_composite_side_limit():
@@ -124,9 +146,9 @@ def test_encode_rejects_dims_beyond_header(monkeypatch):
 
 
 def test_stream_without_gop_builds_no_matrix(monkeypatch):
-    # 4 frames at n = 4 are all trailing key frames: the 2048 x 4096 matrix
-    # (64 MiB) of block 32 at rate 0.5 is needed by neither side
-    monkeypatch.setattr(codec_mod, "gen_mixing_matrix", _no_matrix)
+    # 4 frames at n = 4 are all trailing key frames: neither side draws an
+    # entry of the 2048 x 4096 matrix (64 MiB) of block 32 at rate 0.5
+    monkeypatch.setattr(mixing_mod, "_draw_normals", _no_draw)
     frames = moving_square(64, 64, 4, square=12)
     stream = encode_sequence(frames, CodecConfig(n=4, block_size=32, sampling_rate=0.5))
     assert stream.num_gops == 0 and stream.num_trailing == 4
@@ -432,16 +454,18 @@ def test_bitstream_fields_are_frozen():
 def test_decode_refuses_hostile_matrix_size(monkeypatch):
     # streams of at most 65 KB whose headers ask for more decoder work than
     # the limits allow, refused before any matrix is built:
-    # - a 2049 x 16384 matrix (128 KiB over MAX_MATRIX_BYTES) at composite
-    #   side 128, and a 1000 x 225*255^2 one (117 GB) at side 3825, each with
-    #   one trailing frame and no GOP;
+    # - m = 2049, one measurement over MAX_MEASUREMENTS, at composite side
+    #   128, and m = 1000 at side 3825, each with one trailing frame and no GOP;
     # - one GOP of one block position with m = 1 at composite sides 129 and
-    #   3825, whose 1 x 129^2 and 1 x 225*255^2 (112 MiB) matrices fit
+    #   3825;
+    # - the 20,510-byte stream of one GOP of one block position at side 64
+    #   with m = k = 4096, whose u-step factor build would peak at 384 MiB
     monkeypatch.setattr(codec_mod, "gen_mixing_matrix", _no_matrix)
     for gop_n, bs, frames, m, payload in ((16, 32, 1, 2049, 32 * 32),
                                           (225, 255, 1, 1000, 255 * 255),
                                           (1, 129, 2, 1, 129 * 129 + 4),
-                                          (225, 255, 226, 1, 255 * 255 + 4)):
+                                          (225, 255, 226, 1, 255 * 255 + 4),
+                                          (1, 64, 2, 4096, 64 * 64 + 4 * 4096)):
         header = codec_mod._HEADER.pack(codec_mod.MAGIC, codec_mod.VERSION, 0, 1, 0,
                                         bs, bs, gop_n, bs, frames, 1, m)
         with pytest.raises(CodecError) as e:
