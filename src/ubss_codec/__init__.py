@@ -16,8 +16,8 @@ from .mixing import (GENERATOR_SPLITMIX64_BOXMULLER, CompositeBlock,
                      MeasurementVector, MixingMatrix, StreamAccumulator,
                      assemble_composite, compute_residual,
                      disassemble_composite, gen_mixing_matrix, mix_batch)
-from .tv import (GradientField, SolverParams, SolverResult, divergence_adjoint,
-                 forward_diff, shrink2, solve_tv)
+from .tv import (SolverParams, SolverResult, divergence_adjoint, forward_diff,
+                 shrink2, solve_tv)
 from .codec import (Bitstream, CodecConfig, RateReport, decode_sequence,
                     encode_sequence, rate_report)
 from .synthetic import moving_square

@@ -322,7 +322,7 @@ def encode_sequence(frames, config: CodecConfig) -> Bitstream:
         for j, f in enumerate(gop.ubss):
             # streamed-memory contract: never hold more than the current residual
             acc.push(compute_residual(f, key), j)
-        _pack_records(records[i], acc.finish().values, q16)
+        _pack_records(records[i], acc.finish(), q16)
     for j, f in enumerate(trailing):
         rasters[j] = f.pixels
 
@@ -347,9 +347,9 @@ def decode_sequence(stream: Bitstream, solver_params: tv.SolverParams | None = N
     When any composite stops on the solver's max_outer cap, one WARNING on
     the "ubss_codec" logger gives the count for the stream.
     """
+    params = tv._params(solver_params)
     if stream.generator_id != GENERATOR_SPLITMIX64_BOXMULLER:
         raise CodecError("unknown-generator", f"generator id {stream.generator_id}")
-    params = solver_params if solver_params is not None else tv.SolverParams()
     matrix = gen_mixing_matrix(stream.seed, stream.m_per_block, stream.k)
     side, bs, n, cols = stream.composite_side, stream.block_size, stream.gop_n, stream.grid.cols
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Sequence
 from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
@@ -211,10 +210,12 @@ def assemble_composite(residuals, grid_position, block_size: int) -> CompositeBl
     if len({r.pixels.shape for r in residuals}) > 1:
         raise CodecError("inconsistent-dimensions", "residual frames differ in size")
     grid = BlockGrid.for_dims(residuals[0].width, residuals[0].height, block_size)
-    bx, by = grid_position
-    if not (0 <= bx < grid.cols and 0 <= by < grid.rows):
-        raise CodecError("out-of-grid",
-                         f"position ({bx}, {by}) outside {grid.cols}x{grid.rows} grid")
+    pos = tuple(grid_position) if np.iterable(grid_position) else ()
+    if not (len(pos) == 2 and all(isinstance(v, numbers.Integral) for v in pos)
+            and 0 <= pos[0] < grid.cols and 0 <= pos[1] < grid.rows):
+        raise CodecError("out-of-grid", f"position {grid_position!r} is not a pair of "
+                                        f"integers within the {grid.cols}x{grid.rows} grid")
+    bx, by = pos
     tiles = np.stack([r.pixels[by * bs:(by + 1) * bs, bx * bs:(bx + 1) * bs] for r in residuals])
     # inverse of _split_blocks on a t x t tile grid
     values = tiles.reshape(t, t, bs, bs).swapaxes(1, 2).reshape(t * bs, t * bs)
@@ -250,8 +251,8 @@ class StreamAccumulator:
     the column sub-block of the mixing matrix for tile j of the t x t
     composite, t = sqrt(n). An all-zero block adds nothing, so push gathers
     and multiplies only the blocks with a nonzero pixel: its work and memory
-    are proportional to the changed blocks. finish() consumes the
-    accumulator: partial is None.
+    are proportional to the changed blocks. finish() returns the sums as
+    they are, locked, and consumes the accumulator: partial is None.
     """
 
     def __init__(self, matrix: MixingMatrix, grid: BlockGrid, n: int):
@@ -293,7 +294,7 @@ class StreamAccumulator:
         product += self.partial.take(changed, axis=0)
         self.partial[changed] = product
 
-    def finish(self) -> GroupMeasurements:
+    def finish(self) -> np.ndarray:
         """The locked (num_blocks, m) sums, one row per block position in grid order; consumes."""
         if self.partial is None:
             raise CodecError("accumulator-consumed", "finish() was already called")
@@ -301,24 +302,5 @@ class StreamAccumulator:
             raise CodecError("incomplete-group",
                              f"{self.frames_pushed} of {self.n} frames pushed")
         values, self.partial = _locked(self.partial), None
-        return GroupMeasurements(values, self.grid.cols)
+        return values
 
-
-@dataclass(frozen=True, eq=False)
-class GroupMeasurements(Sequence):
-    """One frame group's measurements as a read-only sequence in row-major grid order.
-
-    values is the locked (num_blocks, m) array; item i is built on access as the
-    MeasurementVector of block position (i mod cols, i div cols), viewing row i.
-    """
-
-    values: np.ndarray
-    cols: int
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, i) -> MeasurementVector:
-        # indexing a range counts a negative i from the end and refuses one out of range
-        by, bx = divmod(range(len(self))[i], self.cols)
-        return MeasurementVector(grid_position=(bx, by), values=self.values[i])

@@ -10,7 +10,8 @@ iteration:
    Q(u) = beta/2 ||D u - w - nu/beta||^2 + mu/2 ||A u - b - lambda/mu||^2;
 3. multiplier updates nu <- nu - beta (D u - w), lambda <- lambda - mu (A u - b).
 
-D and D^T are the slice stencils _grad and _grad_t, public as forward_diff and divergence_adjoint.
+D and D^T are the slice stencils _grad and _grad_t, public as forward_diff and
+divergence_adjoint; a gradient field is one float64 (2, H, W) array, dx over dy.
 
 The u-step solves H u = beta D^T t + mu A^T r, t = w + nu/beta, r = b + lambda/mu,
 with H = beta D^T D + mu A^T A. Since D^T D u = u L + L u for L the 1-D
@@ -69,46 +70,38 @@ class SolverParams:
     mu and beta weigh the measurement and gradient constraints; the solver
     stops when an outer iteration changes u by less than outer_tol
     (relative) or after max_outer outer iterations; all three are positive
-    and finite, the caps integers. Each outer iteration solves its
-    u-subproblem exactly, so max_inner has no effect: it is still accepted,
-    and must not be negative, so that callers written for the earlier
-    iterative u-step keep working. solve_tv scales b to unit RMS, so the
-    defaults are scale-free. beta, the main control on convergence speed,
-    was set by a seed study of the benchmark workloads: against 2^5, 2^4
-    takes about 36% fewer outer iterations on the square workload (seeds
-    1-30) at a higher mean PSNR, and most pan and capture composites (seeds
-    1-6) then stop on the tolerance, not the cap. 2^3 iterates less still, but
-    it speeds small composites more than large ones, which leaves the
-    acceptance suite's block-size timing clause too thin a margin. mu
-    barely moves the result.
+    and finite real numbers, max_outer a positive integer. solve_tv scales b
+    to unit RMS, so the defaults are scale-free. beta, the main control on
+    convergence speed, was set by a seed study of the benchmark workloads:
+    against 2^5, 2^4 takes about 36% fewer outer iterations on the square
+    workload (seeds 1-30) at a higher mean PSNR, and most pan and capture
+    composites (seeds 1-6) then stop on the tolerance, not the cap. 2^3
+    iterates less still, but it speeds small composites more than large
+    ones, which leaves the acceptance suite's block-size timing clause too
+    thin a margin. mu barely moves the result.
     """
 
     mu: float = 2.0 ** 8
     beta: float = 2.0 ** 4
     outer_tol: float = 1e-4
     max_outer: int = 300
-    max_inner: int = 5
 
     def __post_init__(self):
-        if not all(0 < v < math.inf for v in (self.mu, self.beta, self.outer_tol)):
-            raise CodecError("invalid-solver-params", "mu, beta, outer_tol must be finite and > 0")
-        if not all(isinstance(v, (int, np.integer)) for v in (self.max_outer, self.max_inner)) \
-                or self.max_outer < 1 or self.max_inner < 0:
-            raise CodecError("invalid-solver-params", "iteration caps must be integers in range")
+        if not all(isinstance(v, numbers.Real) and 0 < v < math.inf
+                   for v in (self.mu, self.beta, self.outer_tol)):
+            raise CodecError("invalid-solver-params", "mu, beta, outer_tol must be finite reals > 0")
+        if not isinstance(self.max_outer, numbers.Integral) or self.max_outer < 1:
+            raise CodecError("invalid-solver-params", "max_outer must be an integer >= 1")
 
 
-@dataclass
-class GradientField:
-    """Per-pixel discrete gradient (dx, dy), same shape as the image."""
-
-    dx: np.ndarray
-    dy: np.ndarray
-
-    def __post_init__(self):
-        self.dx = np.asarray(self.dx, dtype=np.float64)
-        self.dy = np.asarray(self.dy, dtype=np.float64)
-        if self.dx.shape != self.dy.shape:
-            raise CodecError("shape-mismatch", f"dx {self.dx.shape} vs dy {self.dy.shape}")
+def _params(params):
+    """params, or the defaults for None; anything but a SolverParams is refused."""
+    if params is None:
+        return SolverParams()
+    if not isinstance(params, SolverParams):
+        raise CodecError("invalid-solver-params",
+                         f"expected SolverParams, got {type(params).__name__}")
+    return params
 
 
 @dataclass
@@ -158,22 +151,29 @@ def _grad_t(g):
     return out
 
 
-def forward_diff(u: np.ndarray) -> GradientField:
-    """Forward differences with replicate boundary (last column/row slopes are 0)."""
+def _field(g):
+    """g as a float64 (2, H, W) gradient field; any other shape is refused."""
+    g = np.asarray(g, dtype=np.float64)
+    if g.ndim != 3 or len(g) != 2 or g.size == 0:
+        raise CodecError("shape-mismatch", f"expected a nonempty (2, H, W) field, got {g.shape}")
+    return g
+
+
+def forward_diff(u: np.ndarray) -> np.ndarray:
+    """D u: forward differences with replicate boundary (last column/row slopes are 0)."""
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 2 or u.size == 0:
         raise CodecError("shape-mismatch", f"expected nonempty 2-D raster, got {u.shape}")
-    g = _grad(u)
-    return GradientField(dx=g[0], dy=g[1])
+    return _grad(u)
 
 
-def divergence_adjoint(g: GradientField) -> np.ndarray:
+def divergence_adjoint(g: np.ndarray) -> np.ndarray:
     """Adjoint of forward_diff: the raster v with <D u, g> = <u, v> for all u.
 
     Equals the negative divergence of g under the replicate boundary; the dead
     last column of dx / last row of dy never contribute.
     """
-    return _grad_t(np.stack((g.dx, g.dy)))
+    return _grad_t(_field(g))
 
 
 def _shrink(v, t):
@@ -182,12 +182,11 @@ def _shrink(v, t):
     return v * (np.maximum(mag - t, 0.0) / np.maximum(mag, _MAG_FLOOR))
 
 
-def shrink2(v: GradientField, t: float) -> GradientField:
-    """Isotropic two-vector shrinkage: w = max(|v| - t, 0) * v/|v|, 0 at |v| = 0."""
+def shrink2(v: np.ndarray, t: float) -> np.ndarray:
+    """Isotropic two-vector shrinkage of a field: w = max(|v| - t, 0) * v/|v|, 0 at |v| = 0."""
     if t < 0:
         raise CodecError("negative-threshold", f"t={t}")
-    w = _shrink(np.stack((v.dx, v.dy)), t)
-    return GradientField(dx=w[0], dy=w[1])
+    return _shrink(_field(v), t)
 
 
 class _UStep:
@@ -263,7 +262,7 @@ def solve_tv(matrix: MixingMatrix, b: MeasurementVector, side: int,
     content scales and the recovery is scale-covariant. All-zero measurements
     return u = 0 at once, counted as one outer iteration.
     """
-    params = params if params is not None else SolverParams()
+    params = _params(params)
     if not isinstance(side, numbers.Integral) or matrix.k != side * side:
         raise CodecError("shape-mismatch", f"matrix k={matrix.k} vs side {side!r}")
     raw = np.asarray(b.values, dtype=np.float64)

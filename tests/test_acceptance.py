@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from ubss_codec import (BlockGrid, Bitstream, CodecConfig, Frame,
-                        GradientField, MeasurementVector, MixingMatrix,
+                        MeasurementVector, MixingMatrix,
                         ResidualFrame, SolverParams, StreamAccumulator,
                         assemble_composite, decode_sequence, divergence_adjoint,
                         encode_sequence, forward_diff, gen_mixing_matrix,
@@ -56,9 +56,9 @@ def test_criterion_1_streamed_equals_batch():
         for j, res in enumerate(residuals):
             acc.push(res, j)
         streamed = acc.finish()
-        for mv, pos in zip(streamed, grid.positions()):
+        for row, pos in zip(streamed, grid.positions()):
             batch = mix_batch(matrix, assemble_composite(residuals, pos, 16))
-            worst = max(worst, float(np.max(np.abs(mv.values - batch.values))))
+            worst = max(worst, float(np.max(np.abs(row - batch.values))))
     elapsed = time.perf_counter() - t0
     _report(1, "streamed equals batch", worst <= 1e-9 and elapsed < 10.0,
             f"max abs diff {worst:.2e}, {elapsed:.1f}s")
@@ -129,37 +129,32 @@ def test_criterion_6_solver_correctness_suite():
     worst_adj = 0.0
     for _ in range(100):
         u = rng.normal(size=(8, 8))
-        g = GradientField(rng.normal(size=(8, 8)), rng.normal(size=(8, 8)))
-        d = forward_diff(u)
-        lhs = float(np.vdot(d.dx, g.dx) + np.vdot(d.dy, g.dy))
+        g = rng.normal(size=(2, 8, 8))
+        lhs = float(np.vdot(forward_diff(u), g))
         rhs = float(np.vdot(u, divergence_adjoint(g)))
         worst_adj = max(worst_adj, abs(lhs - rhs))
     checks.append(("adjoint", worst_adj <= 1e-10))
 
     # shrinkage closed form
-    w = shrink2(GradientField(np.array([[3.0]]), np.array([[4.0]])), 2.0)
-    checks.append(("shrink2", abs(w.dx[0, 0] - 1.8) <= 1e-12
-                   and abs(w.dy[0, 0] - 2.4) <= 1e-12))
+    w = shrink2(np.array([[[3.0]], [[4.0]]]), 2.0)
+    checks.append(("shrink2", abs(w[0, 0, 0] - 1.8) <= 1e-12
+                   and abs(w[1, 0, 0] - 2.4) <= 1e-12))
 
     # analytic surrogate gradient vs central differences on an 8x8 problem
     beta, mu = 2.0 ** 5, 2.0 ** 8
     A = rng.normal(size=(32, 64)) / np.sqrt(32)
     b = rng.normal(size=32) * 10
-    wx, wy = rng.normal(size=(2, 8, 8))
-    nux, nuy = rng.normal(size=(2, 8, 8))
+    w = rng.normal(size=(2, 8, 8))
+    nu = rng.normal(size=(2, 8, 8))
     lam = rng.normal(size=32)
     u = rng.normal(size=(8, 8)) * 5
 
     def q(vec):
-        g = forward_diff(vec.reshape(8, 8))
-        rx = g.dx - wx - nux / beta
-        ry = g.dy - wy - nuy / beta
+        r = forward_diff(vec.reshape(8, 8)) - w - nu / beta
         rb = A @ vec - b - lam / mu
-        return 0.5 * beta * (np.vdot(rx, rx) + np.vdot(ry, ry)) + 0.5 * mu * np.vdot(rb, rb)
+        return 0.5 * beta * np.vdot(r, r) + 0.5 * mu * np.vdot(rb, rb)
 
-    g = forward_diff(u)
-    analytic = beta * divergence_adjoint(
-        GradientField(g.dx - wx - nux / beta, g.dy - wy - nuy / beta)) \
+    analytic = beta * divergence_adjoint(forward_diff(u) - w - nu / beta) \
         + mu * (A.T @ (A @ u.ravel() - b - lam / mu)).reshape(8, 8)
     numeric = np.empty(64)
     flat = u.ravel()
@@ -227,7 +222,7 @@ def test_criterion_8_round_trip_and_container_integrity():
     rng = np.random.default_rng(8)
     noisy = [Frame(rng.integers(0, 256, size=(16, 32))) for _ in range(5)]
     stream = encode_sequence(noisy, CodecConfig(sampling_rate=1.0, block_size=8, seed=12))
-    strong = SolverParams(mu=2.0 ** 12, max_inner=20, max_outer=1500, outer_tol=1e-10)
+    strong = SolverParams(mu=2.0 ** 12, max_outer=1500, outer_tol=1e-10)
     decoded = decode_sequence(stream, strong)
     rt = mean_coded_psnr(noisy, decoded, GOP_N)
     checks.append(("full-sampling-roundtrip", rt >= 50.0))

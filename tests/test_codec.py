@@ -624,6 +624,18 @@ def test_decode_warns_once_when_composites_stop_on_the_cap(caplog):
     assert not caplog.records
 
 
+@pytest.mark.parametrize("static", [True, False], ids=["static", "active"])
+def test_decode_refuses_solver_params_of_another_type(static, monkeypatch):
+    # refused before any work, so also on a stream whose composites need no solve
+    frames = _static_frames() if static else moving_square(32, 32, 5, square=12, start_x=2)
+    stream = encode_sequence(frames, CodecConfig(sampling_rate=0.4, seed=2))
+    monkeypatch.setattr(codec_mod, "gen_mixing_matrix", _no_matrix)
+    for params in ({"mu": 1.0}, 300, "defaults"):
+        with pytest.raises(CodecError) as e:
+            decode_sequence(stream, params)
+        assert e.value.code == "invalid-solver-params", params
+
+
 # --- refusals ---------------------------------------------------------------
 
 def _one_gop_stream():

@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from ubss_codec import (BlockGrid, CodecError, CompositeBlock, Frame,
-                        MeasurementVector, MixingMatrix, ResidualFrame,
-                        StreamAccumulator, assemble_composite,
-                        compute_residual, disassemble_composite,
-                        gen_mixing_matrix, mix_batch)
+                        MixingMatrix, ResidualFrame, StreamAccumulator,
+                        assemble_composite, compute_residual,
+                        disassemble_composite, gen_mixing_matrix, mix_batch)
 
 
 # --- matrix generation ------------------------------------------------------
@@ -166,8 +165,9 @@ def test_composite_side():
 
 
 def test_composite_zero_propagation():
-    block = assemble_composite(_const_residuals([0] * 4), (1, 1), 16)
-    assert np.all(block.values == 0)
+    # numpy integers are grid positions too
+    block = assemble_composite(_const_residuals([0] * 4), (np.int64(1), np.int32(1)), 16)
+    assert np.all(block.values == 0) and block.grid_position == (1, 1)
 
 
 def test_composite_tile_layout():
@@ -268,8 +268,7 @@ def test_stream_zero_group():
     for j in range(4):
         acc.push(ResidualFrame(np.zeros((48, 64), np.int16)), j)
     out = acc.finish()
-    assert len(out) == grid.num_blocks
-    assert all(np.all(mv.values == 0) and mv.values.shape == (128,) for mv in out)
+    assert out.shape == (grid.num_blocks, 128) and not out.any()
 
 
 def test_finish_returns_the_locked_sums():
@@ -281,17 +280,11 @@ def test_finish_returns_the_locked_sums():
         acc.push(res, j)
     sums = acc.partial
     out = acc.finish()
-    assert out.values.shape == (grid.num_blocks, 32) and np.shares_memory(out.values, sums)
-    assert not out.values.flags.writeable
+    assert type(out) is np.ndarray and out.dtype == np.float64
+    assert out.shape == (grid.num_blocks, 32) and np.shares_memory(out, sums)
+    assert not out.flags.writeable
     with pytest.raises(ValueError):
-        out.values[0, 0] = 1.0
-    assert len(out) == grid.num_blocks
-    for i, (mv, pos) in enumerate(zip(out, grid.positions(), strict=True)):
-        assert isinstance(mv, MeasurementVector) and mv.grid_position == pos
-        assert np.array_equal(mv.values, out.values[i])
-    assert out[-1].grid_position == (grid.cols - 1, grid.rows - 1)
-    with pytest.raises(IndexError):
-        out[grid.num_blocks]
+        out[0, 0] = 1.0
 
 
 def _sparse_group(rng, bs, h=48, w=64, n=4):
@@ -319,12 +312,12 @@ def test_stream_equals_batch():
             acc.push(res, j)
         streamed = acc.finish()
         zero_rows = 0
-        for mv, (bx, by) in zip(streamed, grid.positions()):
+        for row, (bx, by) in zip(streamed, grid.positions(), strict=True):
             composite = assemble_composite(residuals, (bx, by), bs)
             batch = mix_batch(matrix, composite)
-            assert np.max(np.abs(mv.values - batch.values)) <= 1e-9
+            assert np.max(np.abs(row - batch.values)) <= 1e-9
             if not composite.values.any():
-                assert np.all(mv.values == 0)
+                assert np.all(row == 0)
                 zero_rows += 1
         assert zero_rows or not sparse  # block (0, 0) of the sparse group is zero throughout
 
@@ -408,6 +401,11 @@ def _finished_accumulator():
 @pytest.mark.parametrize("call, code", [
     (lambda: assemble_composite(_const_residuals([0] * 3) + _const_residuals([0], h=16),
                                 (0, 0), 16), "inconsistent-dimensions"),
+    (lambda: assemble_composite(_const_residuals([0] * 4), (0.5, 0), 16), "out-of-grid"),
+    (lambda: assemble_composite(_const_residuals([0] * 4), (1.0, 0), 16), "out-of-grid"),
+    (lambda: assemble_composite(_const_residuals([0] * 4), ("0", 0), 16), "out-of-grid"),
+    (lambda: assemble_composite(_const_residuals([0] * 4), (0, 0, 0), 16), "out-of-grid"),
+    (lambda: assemble_composite(_const_residuals([0] * 4), 0, 16), "out-of-grid"),
     (lambda: disassemble_composite(np.zeros((6, 6)), 3), "n-not-perfect-square"),
     (lambda: disassemble_composite(np.zeros((5, 5)), 4), "shape-mismatch"),
     (lambda: disassemble_composite(np.zeros((4, 6)), 4), "shape-mismatch"),
@@ -429,7 +427,8 @@ def _finished_accumulator():
     (lambda: gen_mixing_matrix(1.5, 16, 256), "non-integer-field"),
     (lambda: gen_mixing_matrix(1, 4, 16).rows(3, 5), "index-out-of-range"),
     (lambda: MixingMatrix.identity(4).rows(-1, 2), "index-out-of-range"),
-], ids=["assemble-two-sizes", "disassemble-n-3", "disassemble-5x5", "disassemble-4x6",
+], ids=["assemble-two-sizes", "assemble-x-half", "assemble-x-float", "assemble-x-str",
+        "assemble-triple", "assemble-scalar", "disassemble-n-3", "disassemble-5x5", "disassemble-4x6",
         "composite-4x6", "composite-1d", "accumulator-n-3", "accumulator-k-mismatch",
         "push-after-finish", "push-wrong-size", "disassemble-n-float", "accumulator-n-float",
         "generator-m-float", "generator-k-float", "generator-seed-float", "rows-past-m",

@@ -4,12 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ubss_codec import (CodecError, CompositeBlock, GradientField,
-                        MeasurementVector, MixingMatrix, SolverParams,
-                        divergence_adjoint, forward_diff, gen_mixing_matrix,
-                        mix_batch, shrink2, solve_tv)
+from ubss_codec import (CodecError, CompositeBlock, MeasurementVector,
+                        MixingMatrix, SolverParams, divergence_adjoint,
+                        forward_diff, gen_mixing_matrix, mix_batch, shrink2,
+                        solve_tv)
 from ubss_codec import tv as tv_mod
-from ubss_codec.tv import _grad, _grad_t, _UStep
+from ubss_codec.tv import _grad, _grad_t, _shrink, _UStep
 
 from reference_tv import psnr_vs, tv_subgradient_reference
 
@@ -38,19 +38,19 @@ def _dense_gradient_matrix(h, w):
 
 def test_forward_diff_constant():
     g = forward_diff(np.full((5, 7), 3.5))
-    assert np.all(g.dx == 0) and np.all(g.dy == 0)
+    assert g.shape == (2, 5, 7) and np.all(g == 0)
 
 
 def test_forward_diff_column_ramp():
     u = np.tile(np.arange(6.0), (4, 1))
-    g = forward_diff(u)
-    assert np.all(g.dx[:, :-1] == 1) and np.all(g.dx[:, -1] == 0)
-    assert np.all(g.dy == 0)
+    dx, dy = forward_diff(u)
+    assert np.all(dx[:, :-1] == 1) and np.all(dx[:, -1] == 0)
+    assert np.all(dy == 0)
 
 
 def test_forward_diff_1x1():
     g = forward_diff(np.array([[4.0]]))
-    assert g.dx == np.array([[0.0]]) and g.dy == np.array([[0.0]])
+    assert np.array_equal(g, np.zeros((2, 1, 1)))
 
 
 def test_forward_diff_matches_dense_matrix():
@@ -59,9 +59,7 @@ def test_forward_diff_matches_dense_matrix():
     for _ in range(10):
         u = rng.normal(size=(6, 9))
         g = forward_diff(u)
-        flat = D @ u.ravel()
-        assert np.allclose(g.dx.ravel(), flat[:54], atol=1e-12)
-        assert np.allclose(g.dy.ravel(), flat[54:], atol=1e-12)
+        assert np.allclose(g.ravel(), D @ u.ravel(), atol=1e-12)
 
 
 @pytest.mark.parametrize("u", [np.zeros(4), np.zeros((0, 3)), np.zeros((2, 2, 2))],
@@ -72,11 +70,23 @@ def test_forward_diff_refusal_codes(u):
     assert e.value.code == "shape-mismatch"
 
 
+def test_public_operators_are_the_solvers_own():
+    # the solve loop calls _grad, _grad_t and _shrink unchecked; the public
+    # names must return exactly what they do
+    rng = np.random.default_rng(4)
+    for h, w in ((1, 1), (3, 5), (8, 8), (7, 2)):
+        u = rng.normal(size=(h, w))
+        g = rng.normal(size=(2, h, w))
+        assert np.array_equal(forward_diff(u), _grad(u))
+        assert np.array_equal(divergence_adjoint(g), _grad_t(g))
+        for t in (0.0, 0.3, 5.0):
+            assert np.array_equal(shrink2(g, t), _shrink(g, t))
+
+
 # --- adjoint ----------------------------------------------------------------
 
 def test_adjoint_zero_field():
-    g = GradientField(np.zeros((4, 4)), np.zeros((4, 4)))
-    assert np.all(divergence_adjoint(g) == 0)
+    assert np.all(divergence_adjoint(np.zeros((2, 4, 4))) == 0)
 
 
 def test_adjoint_identity_against_dense_oracle():
@@ -84,66 +94,63 @@ def test_adjoint_identity_against_dense_oracle():
     D = _dense_gradient_matrix(8, 8)
     for _ in range(100):
         u = rng.normal(size=(8, 8))
-        gx = rng.normal(size=(8, 8))
-        gy = rng.normal(size=(8, 8))
-        g = GradientField(gx, gy)
-        lhs = np.vdot(forward_diff(u).dx, gx) + np.vdot(forward_diff(u).dy, gy)
+        g = rng.normal(size=(2, 8, 8))
+        lhs = np.vdot(forward_diff(u), g)
         rhs = np.vdot(u, divergence_adjoint(g))
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
-        dense = (D.T @ np.concatenate([gx.ravel(), gy.ravel()])).reshape(8, 8)
         # dead entries (last dx column / dy row) do not reach the adjoint
-        live = GradientField(gx.copy(), gy.copy())
-        assert np.allclose(divergence_adjoint(live), dense, atol=1e-12)
+        dense = (D.T @ g.ravel()).reshape(8, 8)
+        assert np.allclose(divergence_adjoint(g), dense, atol=1e-12)
 
 
 def test_adjoint_delta_two_pixel_pattern():
     D = _dense_gradient_matrix(5, 5)
-    gx = np.zeros((5, 5))
-    gx[2, 1] = 1.0
-    out = divergence_adjoint(GradientField(gx, np.zeros((5, 5))))
+    g = np.zeros((2, 5, 5))
+    g[0, 2, 1] = 1.0
+    out = divergence_adjoint(g)
     # column readout of the dense transpose
-    expect = (D.T @ np.concatenate([gx.ravel(), np.zeros(25)])).reshape(5, 5)
+    expect = (D.T @ g.ravel()).reshape(5, 5)
     assert np.array_equal(out, expect)
     assert out[2, 1] == -1.0 and out[2, 2] == 1.0 and np.count_nonzero(out) == 2
 
 
 def test_adjoint_shape_mismatch():
-    with pytest.raises(CodecError) as e:
-        GradientField(np.zeros((3, 3)), np.zeros((4, 3)))
-    assert e.value.code == "shape-mismatch"
+    # a field is (2, H, W): a 2-D raster, a third plane, one plane, an empty
+    # plane or a fourth axis is refused by both operators that take one
+    for shape in ((3, 3), (3, 4, 4), (1, 4, 4), (2, 0, 3), (2, 2, 2, 2)):
+        for op in (divergence_adjoint, lambda g: shrink2(g, 1.0)):
+            with pytest.raises(CodecError) as e:
+                op(np.zeros(shape))
+            assert e.value.code == "shape-mismatch", shape
 
 
 # --- shrinkage --------------------------------------------------------------
 
 def test_shrink2_closed_form():
-    v = GradientField(np.array([[3.0]]), np.array([[4.0]]))
-    w = shrink2(v, 2.0)
-    assert abs(w.dx[0, 0] - 1.8) <= 1e-12
-    assert abs(w.dy[0, 0] - 2.4) <= 1e-12
+    w = shrink2(np.array([[[3.0]], [[4.0]]]), 2.0)
+    assert abs(w[0, 0, 0] - 1.8) <= 1e-12
+    assert abs(w[1, 0, 0] - 2.4) <= 1e-12
 
 
 def test_shrink2_dead_zone():
-    v = GradientField(np.array([[0.3]]), np.array([[0.4]]))
-    w = shrink2(v, 0.5)
-    assert w.dx[0, 0] == 0.0 and w.dy[0, 0] == 0.0
+    w = shrink2(np.array([[[0.3]], [[0.4]]]), 0.5)
+    assert np.all(w == 0.0)
 
 
 def test_shrink2_zero_threshold_is_identity():
     rng = np.random.default_rng(2)
-    dx, dy = rng.normal(size=(2, 6, 6))
-    w = shrink2(GradientField(dx, dy), 0.0)
-    assert np.array_equal(w.dx, dx) and np.array_equal(w.dy, dy)
+    v = rng.normal(size=(2, 6, 6))
+    assert np.array_equal(shrink2(v, 0.0), v)
 
 
 def test_shrink2_zero_vector_stays_zero():
     for t in (1.0, 0.0):
-        w = shrink2(GradientField(np.zeros((2, 2)), np.zeros((2, 2))), t)
-        assert np.all(w.dx == 0) and np.all(w.dy == 0)
+        assert np.all(shrink2(np.zeros((2, 2, 2)), t) == 0)
 
 
 def test_shrink2_negative_threshold():
     with pytest.raises(CodecError) as e:
-        shrink2(GradientField(np.zeros((2, 2)), np.zeros((2, 2))), -0.1)
+        shrink2(np.zeros((2, 2, 2)), -0.1)
     assert e.value.code == "negative-threshold"
 
 
@@ -164,8 +171,8 @@ def test_shrink2_is_prox_minimizer_by_grid_search():
             best = grid[np.argmin(objective(grid))]
             span = (hi - lo) / 1000
             lo, hi = max(0.0, best - span), best + span
-        w = shrink2(GradientField(np.array([[vx]]), np.array([[vy]])), t)
-        assert abs(np.hypot(w.dx[0, 0], w.dy[0, 0]) - best) <= 1e-6
+        w = shrink2(np.array([[[vx]], [[vy]]]), t)
+        assert abs(np.hypot(w[0, 0, 0], w[1, 0, 0]) - best) <= 1e-6
 
 
 # --- surrogate gradient vs finite differences -------------------------------
@@ -176,22 +183,17 @@ def test_surrogate_gradient_matches_central_differences():
     for trial in range(5):
         A = rng.normal(size=(32, 64)) / np.sqrt(32)
         b = rng.normal(size=32) * 10
-        wx, wy = rng.normal(size=(2, 8, 8))
-        nux, nuy = rng.normal(size=(2, 8, 8))
+        w = rng.normal(size=(2, 8, 8))
+        nu = rng.normal(size=(2, 8, 8))
         lam = rng.normal(size=32)
         u = rng.normal(size=(8, 8)) * 5
 
         def q(vec):
-            g = forward_diff(vec.reshape(8, 8))
-            rx = g.dx - wx - nux / beta
-            ry = g.dy - wy - nuy / beta
+            r = forward_diff(vec.reshape(8, 8)) - w - nu / beta
             rb = A @ vec - b - lam / mu
-            return 0.5 * beta * (np.vdot(rx, rx) + np.vdot(ry, ry)) \
-                + 0.5 * mu * np.vdot(rb, rb)
+            return 0.5 * beta * np.vdot(r, r) + 0.5 * mu * np.vdot(rb, rb)
 
-        g = forward_diff(u)
-        analytic = beta * divergence_adjoint(
-            GradientField(g.dx - wx - nux / beta, g.dy - wy - nuy / beta)) \
+        analytic = beta * divergence_adjoint(forward_diff(u) - w - nu / beta) \
             + mu * (A.T @ (A @ u.ravel() - b - lam / mu)).reshape(8, 8)
 
         flat = u.ravel()
@@ -557,11 +559,17 @@ def test_solver_params_validation():
     for bad in (dict(mu=0.0), dict(outer_tol=0.0), dict(mu=np.inf), dict(beta=np.inf),
                 dict(beta=np.nan), dict(mu=np.nan), dict(outer_tol=np.nan),
                 dict(outer_tol=np.inf), dict(max_outer=2.5), dict(max_outer=3.0),
-                dict(max_inner=0.5), dict(max_outer=0), dict(max_inner=-1)):
+                dict(max_outer=0), dict(mu="1"), dict(beta=None), dict(outer_tol=1j),
+                dict(mu=np.array([1.0, 2.0])), dict(beta=np.array([2.0]))):
         with pytest.raises(CodecError) as e:
             SolverParams(**bad)
         assert e.value.code == "invalid-solver-params", bad
-    SolverParams(max_outer=np.int64(3), max_inner=0)
+    SolverParams(mu=np.float32(3.0), beta=16, max_outer=np.int64(3))
+    # solve_tv takes a SolverParams or None, and refuses anything else before any work
+    for bad in ({"mu": 1.0}, 300, "defaults"):
+        with pytest.raises(CodecError) as e:
+            solve_tv(MixingMatrix.identity(1), MeasurementVector((0, 0), np.zeros(1)), 1, bad)
+        assert e.value.code == "invalid-solver-params", bad
 
 
 def test_solve_refuses_measurements_whose_norm_overflows():
