@@ -146,10 +146,14 @@ class RateReport:
 
 @dataclass(kw_only=True, frozen=True)
 class Bitstream:
-    """Parsed container: header fields plus the verbatim payload bytes.
+    """Parsed container: header fields plus the payload, a read-only 1-D uint8 array.
 
-    Frozen, because the checks and the payload views are made once, at
-    construction; dataclasses.replace builds a checked copy.
+    The payload is held once: an array that no writable array can reach (one
+    that owns its data, as the encoder's locked buffer, or a view straight onto
+    a bytes object, as the parser's) is kept as it is; any other buffer is
+    copied into bytes first. Frozen, because the checks and the payload views
+    are made once, at construction; dataclasses.replace builds a checked copy.
+    Two streams are equal when their serializations are.
     """
 
     width: int
@@ -162,14 +166,25 @@ class Bitstream:
     generator_id: int
     non_residual: bool
     q16: bool
-    payload: bytes = field(repr=False)
+    payload: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         if isinstance(self.seed, numbers.Integral):  # modulo 2^64, as the generator reads it
             # _validate refuses other seeds
             object.__setattr__(self, "seed", int(self.seed) & _field_max("seed"))
-        object.__setattr__(self, "payload", bytes(self.payload))
+        p = self.payload
+        if not (type(p) is np.ndarray and p.dtype == np.uint8 and p.ndim == 1
+                and not p.flags.writeable and (p.base is None or type(p.base) is bytes)):
+            object.__setattr__(self, "payload", np.frombuffer(bytes(p), np.uint8))
         self._validate()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._header() == other._header() and np.array_equal(self.payload, other.payload)
+
+    def __hash__(self):
+        return hash(self._header())
 
     def _validate(self):
         for name in _FIELDS:
@@ -246,11 +261,14 @@ class Bitstream:
 
     # -- serialization -----------------------------------------------------
 
-    def to_bytes(self) -> bytes:
+    def _header(self) -> bytes:
         flags = (FLAG_NON_RESIDUAL if self.non_residual else 0) | (FLAG_Q16 if self.q16 else 0)
         framing = {"magic": MAGIC, "version": VERSION, "flags": flags, "reserved": 0}
         return _HEADER.pack(*(framing[name] if name in framing else getattr(self, name)
-                              for name in _FIELDS)) + self.payload
+                              for name in _FIELDS))
+
+    def to_bytes(self) -> bytes:
+        return self._header() + memoryview(self.payload)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Bitstream":
@@ -267,7 +285,8 @@ class Bitstream:
             raise CodecError("invalid-header", f"flags {flags:#04x}, reserved byte {reserved}: "
                              "undefined bits must be zero")
         return cls(**fields, non_residual=bool(flags & FLAG_NON_RESIDUAL),
-                   q16=bool(flags & FLAG_Q16), payload=data[_HEADER.size:])
+                   q16=bool(flags & FLAG_Q16),
+                   payload=np.frombuffer(bytes(data), np.uint8, offset=_HEADER.size))
 
 
 def _checked_index(i, count: int, what: str) -> int:
@@ -325,7 +344,7 @@ def encode_sequence(frames, config: CodecConfig) -> Bitstream:
         _pack_records(records[i], acc.finish(), q16)
     for j, f in enumerate(trailing):
         rasters[j] = f.pixels
-
+    payload.setflags(write=False)  # locked, so Bitstream holds it without a copy
     return Bitstream(width=width, height=height, gop_n=config.n,
                      block_size=config.block_size, frame_count=len(frames),
                      seed=config.seed, m_per_block=config.m,

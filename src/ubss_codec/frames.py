@@ -39,8 +39,10 @@ class _Raster:
     Float input is accepted when every sample is integral (np.rint output, say);
     a fractional or NaN sample is refused with CodecError("non-integral-sample")
     rather than truncated, and one out of range, inf included, with
-    "sample-out-of-range". uint8 input lies in range of either raster and is
-    copied unchecked.
+    "sample-out-of-range". The range is tested on the raster's min and max,
+    which a NaN makes NaN, so a raster holding a NaN is refused as
+    "non-integral-sample" whatever else it holds. uint8 input lies in range of
+    either raster and is copied unchecked.
     """
 
     __slots__ = ("pixels", "__weakref__")
@@ -50,7 +52,7 @@ class _Raster:
         if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
             raise CodecError("dimensions-zero", f"expected nonempty 2-D raster, got shape {arr.shape}")
         if arr.dtype != np.uint8:
-            if np.any(arr < self._lo) or np.any(arr > self._hi):
+            if arr.min() < self._lo or arr.max() > self._hi:
                 raise CodecError("sample-out-of-range", f"samples must lie in [{self._lo}, {self._hi}]")
             if arr.dtype.kind == "f" and not np.all(arr == np.rint(arr)):
                 raise CodecError("non-integral-sample", "samples must be whole numbers")

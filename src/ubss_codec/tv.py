@@ -183,7 +183,13 @@ def _shrink(v, t):
 
 
 def shrink2(v: np.ndarray, t: float) -> np.ndarray:
-    """Isotropic two-vector shrinkage of a field: w = max(|v| - t, 0) * v/|v|, 0 at |v| = 0."""
+    """Isotropic two-vector shrinkage of a field: w = max(|v| - t, 0) * v/|v|, 0 at |v| = 0.
+
+    t must be a finite real number (else "invalid-threshold"), and not below 0
+    (else "negative-threshold").
+    """
+    if not (isinstance(t, numbers.Real) and math.isfinite(t)):
+        raise CodecError("invalid-threshold", f"t={t!r} is not a finite real number")
     if t < 0:
         raise CodecError("negative-threshold", f"t={t}")
     return _shrink(_field(v), t)
@@ -263,6 +269,9 @@ def solve_tv(matrix: MixingMatrix, b: MeasurementVector, side: int,
     return u = 0 at once, counted as one outer iteration.
     """
     params = _params(params)
+    if not isinstance(b, MeasurementVector):
+        raise CodecError("not-a-measurement-vector",
+                         f"solve_tv takes a MeasurementVector, not {type(b).__name__}")
     if not isinstance(side, numbers.Integral) or matrix.k != side * side:
         raise CodecError("shape-mismatch", f"matrix k={matrix.k} vs side {side!r}")
     raw = np.asarray(b.values, dtype=np.float64)

@@ -334,6 +334,14 @@ def test_decode_memory_is_one_uint8_gop():
     assert peak < stream.gop_n * stream.height * stream.width * 8
 
 
+_HEADER_SIZE = codec_mod._HEADER.size
+
+
+def _small_stream():
+    """One GOP of 16x16 frames at block 4 and one trailing frame."""
+    return encode_sequence(moving_square(16, 16, 6, square=4), CodecConfig(block_size=4))
+
+
 def _header_fields(**changes):
     fields = dict(width=1, height=1, gop_n=1, block_size=1, frame_count=1, seed=1,
                   m_per_block=1, generator_id=1, non_residual=False, q16=False,
@@ -356,6 +364,100 @@ def test_container_round_trip_lossless():
         assert parsed.q16 == (fmt == "q16")
         assert parsed.seed == 5
         assert parsed.num_trailing == 2
+
+
+def test_payload_is_held_once():
+    # the shape of the benchmark's capture workload: 20 GOPs and a trailing frame
+    frames = moving_square(352, 288, 101, square=40, step=1, start_x=20)
+    config = CodecConfig(block_size=8, sampling_rate=0.25, seed=3)
+    encode_sequence(frames[:6], config)  # numpy's first-call caches
+    tracemalloc.start()
+    try:
+        stream = encode_sequence(frames, config)
+        encode_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the payload buffer plus one GOP's working set (about 1.3 MiB): a copy of
+    # the 9.8 MiB payload would double the peak
+    assert encode_peak < 1.15 * len(stream.payload)
+    data = stream.to_bytes()
+    tracemalloc.start()
+    try:
+        parsed = Bitstream.from_bytes(data)
+        parse_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the parser views the bytes it is given
+    assert parse_peak < len(data) // 32
+    assert parsed.payload.base is data
+    assert parsed == stream
+
+
+def test_payload_is_copied_unless_nothing_writable_reaches_it():
+    stream = _small_stream()
+    data = stream.to_bytes()
+    # kept: the encoder's locked buffer, a view of bytes, and what a stream holds
+    assert stream.payload.base is None and not stream.payload.flags.writeable
+    assert dataclasses.replace(stream, seed=2).payload is stream.payload
+    assert Bitstream.from_bytes(data).payload.base is data
+    held = bytes(stream.payload)
+    assert dataclasses.replace(stream, payload=held).payload.base is held
+    # copied: any buffer that a writable array can reach
+    writable = np.array(stream.payload)
+    locked_view = writable.view()
+    locked_view.setflags(write=False)
+    view_of_locked = stream.payload[:]
+    mutable = bytearray(data)
+    for given, source in ((writable, writable), (locked_view, writable),
+                          (view_of_locked, view_of_locked),
+                          (np.frombuffer(mutable, np.uint8, offset=_HEADER_SIZE), mutable),
+                          (memoryview(mutable)[_HEADER_SIZE:], mutable)):
+        copy = dataclasses.replace(stream, payload=given)
+        assert not np.shares_memory(copy.payload, np.frombuffer(source, np.uint8))
+    parsed = Bitstream.from_bytes(mutable)
+    before = [dataclasses.replace(stream, payload=given) for given in (writable, locked_view)]
+    writable[:] ^= 0xFF
+    mutable[_HEADER_SIZE:] = bytes(len(mutable) - _HEADER_SIZE)
+    for s in [parsed, *before]:
+        assert s.to_bytes() == data
+
+
+def test_payload_is_read_only():
+    stream = _small_stream()
+    data = stream.to_bytes()
+    for s in (stream, Bitstream.from_bytes(data), Bitstream.from_bytes(bytearray(data)),
+              dataclasses.replace(stream, payload=np.array(stream.payload)),
+              Bitstream(**_header_fields())):
+        assert s.payload.dtype == np.uint8 and s.payload.ndim == 1
+        with pytest.raises(ValueError):
+            s.payload[0] = 1
+        assert s.to_bytes()[:4] == b"UBS1"
+    assert stream.to_bytes() == data
+
+
+def test_replaced_stream_is_checked_and_round_trips():
+    stream = _small_stream()
+    moved = dataclasses.replace(stream, seed=9)
+    assert moved.seed == 9 and moved != stream
+    assert Bitstream.from_bytes(moved.to_bytes()) == moved
+    assert moved.to_bytes()[_HEADER_SIZE:] == stream.to_bytes()[_HEADER_SIZE:]
+    with pytest.raises(CodecError) as e:
+        dataclasses.replace(stream, seed=1.5)
+    assert e.value.code == "non-integer-field"
+    with pytest.raises(CodecError) as e:
+        dataclasses.replace(stream, frame_count=stream.frame_count + 1)
+    assert e.value.code == "truncated-payload"
+
+
+def test_streams_compare_by_their_bytes():
+    stream = _small_stream()
+    parsed = Bitstream.from_bytes(stream.to_bytes())
+    assert parsed == stream and hash(parsed) == hash(stream)
+    assert len({stream, parsed, dataclasses.replace(stream, seed=2)}) == 2
+    flipped = np.array(stream.payload)
+    flipped[-1] ^= 1
+    assert dataclasses.replace(stream, payload=flipped) != stream
+    assert stream != stream.to_bytes()
 
 
 def test_container_bad_magic():

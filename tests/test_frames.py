@@ -67,6 +67,32 @@ def test_residual_refuses_what_frame_refuses():
     assert Frame(raw).pixels is not raw
 
 
+@pytest.mark.parametrize("raster", [Frame, ResidualFrame])
+@pytest.mark.parametrize("samples, code", [
+    ([[np.nan, 1.0]], "non-integral-sample"),
+    ([[np.inf, 1.0]], "sample-out-of-range"),
+    ([[1.0, -np.inf]], "sample-out-of-range"),
+    ([[np.inf, -np.inf]], "sample-out-of-range"),
+    ([[0.5, 1.0]], "non-integral-sample"),
+    ([[1.0, 256.0]], "sample-out-of-range"),
+    ([[-256.0, 1.0]], "sample-out-of-range"),
+    (np.array([[256, 0]], np.int16), "sample-out-of-range"),
+    (np.array([[-256, 0]], np.int16), "sample-out-of-range"),
+    (np.array([[np.nan, 0.0]], np.float32), "non-integral-sample"),
+    # the range is tested on min and max, which a NaN makes NaN: a raster
+    # holding a NaN is refused as non-integral, whatever else it holds
+    ([[np.nan, np.inf]], "non-integral-sample"),
+    ([[-np.inf, np.nan]], "non-integral-sample"),
+    ([[300.0, np.nan]], "non-integral-sample"),
+], ids=["nan", "inf", "-inf", "both-infs", "fraction", "above-256", "below-minus-256",
+        "int16-above", "int16-below", "f32-nan", "nan-and-inf", "-inf-and-nan",
+        "nan-and-above"])
+def test_raster_refusal_codes(raster, samples, code):
+    with pytest.raises(CodecError) as e:
+        raster(np.asarray(samples))
+    assert e.value.code == code
+
+
 # --- raw file loading -------------------------------------------------------
 
 def test_load_gray8(tmp_path):

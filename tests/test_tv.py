@@ -154,6 +154,18 @@ def test_shrink2_negative_threshold():
     assert e.value.code == "negative-threshold"
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, "1", None, 1j, np.array([1.0, 2.0])],
+                         ids=["nan", "inf", "-inf", "str", "none", "complex", "array"])
+def test_shrink2_refuses_a_threshold_that_is_not_a_finite_real(t):
+    # NaN would make every output NaN; the others would raise raw TypeErrors
+    with pytest.raises(CodecError) as e:
+        shrink2(np.ones((2, 2, 2)), t)
+    assert e.value.code == "invalid-threshold"
+    # a finite real of any numeric type is taken
+    for ok in (1, np.float32(0.5), np.int64(2)):
+        assert np.all(np.isfinite(shrink2(np.ones((2, 2, 2)), ok)))
+
+
 def test_shrink2_is_prox_minimizer_by_grid_search():
     # w minimizes |w| + (1/(2t)) |w - v|^2; optimum is radial, so search the radius
     rng = np.random.default_rng(3)
@@ -570,6 +582,15 @@ def test_solver_params_validation():
         with pytest.raises(CodecError) as e:
             solve_tv(MixingMatrix.identity(1), MeasurementVector((0, 0), np.zeros(1)), 1, bad)
         assert e.value.code == "invalid-solver-params", bad
+
+
+@pytest.mark.parametrize("b", [np.ones(4), [1.0] * 4, None,
+                               CompositeBlock(np.ones((2, 2)), (0, 0))],
+                         ids=["ndarray", "list", "none", "composite-block"])
+def test_solve_refuses_measurements_of_another_type(b):
+    with pytest.raises(CodecError) as e:
+        solve_tv(gen_mixing_matrix(1, 4, 16), b, 4)
+    assert e.value.code == "not-a-measurement-vector"
 
 
 def test_solve_refuses_measurements_whose_norm_overflows():
