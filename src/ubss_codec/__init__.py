@@ -3,7 +3,7 @@
 The encoder compresses groups of frames by residual subtraction and seeded
 random-Gaussian block measurements (cheap matrix multiplies, streamed so only
 one residual frame is ever resident); the decoder recovers frames by
-total-variation minimization over composite blocks.
+total-variation minimization over composite blocks, one group at a time.
 """
 
 import logging
@@ -19,7 +19,7 @@ from .mixing import (GENERATOR_SPLITMIX64_BOXMULLER, CompositeBlock,
 from .tv import (SolverParams, SolverResult, divergence_adjoint, forward_diff,
                  shrink2, solve_tv)
 from .codec import (Bitstream, CodecConfig, RateReport, decode_sequence,
-                    encode_sequence, rate_report)
+                    encode_sequence, iter_decode, rate_report)
 from .synthetic import moving_square
 
 __version__ = "0.1.0"

@@ -8,7 +8,7 @@ import sys
 import time
 
 from .codec import (MEASUREMENT_FORMATS, Bitstream, CodecConfig, decode_sequence,
-                    encode_sequence, rate_report)
+                    encode_sequence, iter_decode, rate_report)
 from .errors import CodecError
 from .frames import RAW_FORMATS, load_raw_sequence, mean_coded_psnr, save_frame_pgm
 from .synthetic import moving_square
@@ -62,14 +62,18 @@ def cmd_encode(args) -> int:
 def cmd_decode(args) -> int:
     with open(args.input, "rb") as fh:
         stream = Bitstream.from_bytes(fh.read())
+    # each frame is written as it is decoded; decode_s counts decoding only
+    decode_s, count = 0.0, 0
     t0 = time.perf_counter()
-    frames = decode_sequence(stream)
-    decode_s = time.perf_counter() - t0
-    for i, frame in enumerate(frames):
-        save_frame_pgm(frame, f"{args.out}_{i:05d}.pgm")
-    print(f"frames={len(frames)}")
+    for frame in iter_decode(stream):
+        decode_s += time.perf_counter() - t0
+        save_frame_pgm(frame, f"{args.out}_{count:05d}.pgm")
+        count += 1
+        t0 = time.perf_counter()
+    decode_s += time.perf_counter() - t0
+    print(f"frames={count}")
     print(f"decode_s={decode_s:.4f}")
-    print(f"decode_s_per_frame={decode_s / len(frames):.4f}")
+    print(f"decode_s_per_frame={decode_s / count:.4f}")
     return 0
 
 

@@ -25,7 +25,8 @@ import numpy as np
 
 from . import tv
 from .errors import CodecError
-from .frames import BlockGrid, Frame, _tile_root, is_perfect_square, segment_gops
+from .frames import (BlockGrid, Frame, _held_once, _locked, _tile_root, is_perfect_square,
+                     segment_gops)
 from .mixing import (GENERATOR_SPLITMIX64_BOXMULLER, MeasurementVector,
                      StreamAccumulator, compute_residual,
                      disassemble_composite, gen_mixing_matrix)
@@ -148,12 +149,13 @@ class RateReport:
 class Bitstream:
     """Parsed container: header fields plus the payload, a read-only 1-D uint8 array.
 
-    The payload is held once: an array that no writable array can reach (one
-    that owns its data, as the encoder's locked buffer, or a view straight onto
-    a bytes object, as the parser's) is kept as it is; any other buffer is
-    copied into bytes first. Frozen, because the checks and the payload views
-    are made once, at construction; dataclasses.replace builds a checked copy.
-    Two streams are equal when their serializations are.
+    The payload is held once, under the rule of frames._held_once: a locked
+    array that owns its data (the encoder's buffer) or views a bytes object
+    directly (the parser's) is kept as it is; any other buffer is copied into
+    bytes first. Keys, records and trailing rasters are views into it, and
+    gop_key and trailing_frame copy theirs out. Frozen, because the checks and
+    the payload views are made once, at construction; dataclasses.replace
+    builds a checked copy. Two streams are equal when their serializations are.
     """
 
     width: int
@@ -172,10 +174,8 @@ class Bitstream:
         if isinstance(self.seed, numbers.Integral):  # modulo 2^64, as the generator reads it
             # _validate refuses other seeds
             object.__setattr__(self, "seed", int(self.seed) & _field_max("seed"))
-        p = self.payload
-        if not (type(p) is np.ndarray and p.dtype == np.uint8 and p.ndim == 1
-                and not p.flags.writeable and (p.base is None or type(p.base) is bytes)):
-            object.__setattr__(self, "payload", np.frombuffer(bytes(p), np.uint8))
+        if not _held_once(self.payload, np.uint8, 1):
+            object.__setattr__(self, "payload", np.frombuffer(bytes(self.payload), np.uint8))
         self._validate()
 
     def __eq__(self, other):
@@ -248,10 +248,15 @@ class Bitstream:
         return Frame(self._keys[_checked_index(i, self.num_gops, "GOP")])
 
     def gop_measurements(self, i: int) -> np.ndarray:
-        """Dequantized float64 measurements, one row per block position in grid order."""
+        """GOP i's measurements, one row per block position in grid order.
+
+        On an f32 stream these are the stored records themselves, a read-only
+        float32 (blocks, m) view into the payload; a q16 stream's records are
+        dequantized into a new float64 array.
+        """
         rec = self._gop_records[_checked_index(i, self.num_gops, "GOP")]
         if not self.q16:
-            return rec.astype(np.float64)
+            return rec
         lo = rec["lo"].astype(np.float64)[:, None]
         hi = rec["hi"].astype(np.float64)[:, None]
         return lo + rec["codes"] * ((hi - lo) / 65535.0)
@@ -353,48 +358,77 @@ def encode_sequence(frames, config: CodecConfig) -> Bitstream:
                      payload=payload)
 
 
-def decode_sequence(stream: Bitstream, solver_params: tv.SolverParams | None = None):
-    """Decode every frame: keys verbatim, coded frames via TV separation.
+def iter_decode(stream: Bitstream, solver_params: tv.SolverParams | None = None):
+    """Decode one GOP at a time: yield every frame in stream order.
 
-    Each GOP is rebuilt in place in one (n, height, width) uint8 array that
-    starts as n copies of the key (of zeros for the non-residual ablation).
-    Only composites with a nonzero measurement are solved, and only their
-    blocks are rounded in: an all-zero composite decodes as its key's block,
-    which is what solving it would give. The mixing matrix is built for
-    every stream, and the first solve draws its entries, by blocks of rows,
-    into the u-step factor: a stream with no active composite draws none.
-    When any composite stops on the solver's max_outer cap, one WARNING on
-    the "ubss_codec" logger gives the count for the stream.
+    Per GOP that is the key, verbatim, then its n coded frames, recovered by TV
+    separation; then the trailing frames, verbatim. The solver parameters and
+    the generator ID are checked at the call, before the first frame.
+
+    Each coded frame is built in its own uint8 buffer, which its Frame keeps:
+    it starts as a copy of the key (of zeros for the non-residual ablation),
+    and only composites with a nonzero measurement are solved and rounded in,
+    as an all-zero composite decodes as its key's block. A GOP's frames are
+    built before its first is yielded, and the generator holds no frame it
+    has yielded, so consuming it holds one GOP of output plus the u-step
+    factor, whatever frame_count is. Keys and trailing frames are copied out
+    of the payload, so no decoded frame keeps the stream alive.
+
+    The mixing matrix is built for every stream, and the first solve draws its
+    entries, by blocks of rows, into the u-step factor: a stream with no
+    active composite draws none. When any composite stops on the solver's
+    max_outer cap, one WARNING on the "ubss_codec" logger gives the count for
+    the stream, after its last GOP; a generator stopped early logs nothing.
     """
     params = tv._params(solver_params)
     if stream.generator_id != GENERATOR_SPLITMIX64_BOXMULLER:
         raise CodecError("unknown-generator", f"generator id {stream.generator_id}")
-    matrix = gen_mixing_matrix(stream.seed, stream.m_per_block, stream.k)
-    side, bs, n, cols = stream.composite_side, stream.block_size, stream.gop_n, stream.grid.cols
+    return _decoded_frames(stream, params)
 
-    out = []
+
+def _decoded_frames(stream: Bitstream, params: tv.SolverParams):
+    matrix = gen_mixing_matrix(stream.seed, stream.m_per_block, stream.k)
     active = capped = 0
     for i in range(stream.num_gops):
-        key = stream.gop_key(i)
-        base = np.zeros_like(key.pixels) if stream.non_residual else key.pixels
-        frames = np.repeat(base[None], n, axis=0)
-        rows = stream.gop_measurements(i)
-        solved = np.flatnonzero(rows.any(axis=1))
-        for j in solved:
-            by, bx = divmod(int(j), cols)
-            result = tv.solve_tv(matrix, MeasurementVector((bx, by), rows[j]), side, params)
-            capped += result.stop_reason == "cap"
-            block = frames[:, by * bs:(by + 1) * bs, bx * bs:(bx + 1) * bs]
-            block[...] = np.clip(np.rint(block + disassemble_composite(result.u, n)), 0, 255)
-        active += len(solved)
-        out.append(key)
-        out.extend(Frame(f) for f in frames)
+        gop, solved, stopped = _decode_gop(stream, i, matrix, params)
+        active += solved
+        capped += stopped
+        while gop:  # hand each frame over: the generator keeps none it has yielded
+            yield gop.pop(0)
     if capped:
         _log.warning("%d of %d active composites stopped at max_outer=%d",
                      capped, active, params.max_outer)
     for j in range(stream.num_trailing):
-        out.append(stream.trailing_frame(j))
-    return out
+        yield stream.trailing_frame(j)
+
+
+def _decode_gop(stream: Bitstream, i: int, matrix, params: tv.SolverParams):
+    """([key, n coded frames], active composites, composites capped) of GOP i."""
+    side, bs, n, cols = stream.composite_side, stream.block_size, stream.gop_n, stream.grid.cols
+    key = stream.gop_key(i)
+    base = np.zeros_like(key.pixels) if stream.non_residual else key.pixels
+    frames = [base.copy() for _ in range(n)]
+    rows = stream.gop_measurements(i)
+    solved = np.flatnonzero(rows.any(axis=1))
+    capped = 0
+    for j in solved:
+        by, bx = divmod(int(j), cols)
+        result = tv.solve_tv(matrix, MeasurementVector((bx, by), rows[j]), side, params)
+        capped += result.stop_reason == "cap"
+        # composites do not overlap, so each frame's block still holds base's
+        window = np.s_[by * bs:(by + 1) * bs, bx * bs:(bx + 1) * bs]
+        blocks = np.clip(np.rint(base[window] + disassemble_composite(result.u, n)), 0, 255)
+        for f, block in zip(frames, blocks):
+            f[window] = block
+    return [key] + [Frame(_locked(f)) for f in frames], len(solved), capped
+
+
+def decode_sequence(stream: Bitstream, solver_params: tv.SolverParams | None = None):
+    """Decode every frame into one list: list(iter_decode(stream, solver_params)).
+
+    The list holds the whole sequence; iter_decode holds one GOP at a time.
+    """
+    return list(iter_decode(stream, solver_params))
 
 
 def rate_report(stream: Bitstream) -> RateReport:

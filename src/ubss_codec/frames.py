@@ -19,6 +19,20 @@ def _locked(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _held_once(arr, dtype, ndim: int) -> bool:
+    """The held-once rule: whether an array can be kept as it is, without a copy.
+
+    It can when it is a plain read-only ndarray of this dtype and number of
+    dimensions that owns its data (a buffer its maker has locked and handed
+    over) or views a bytes object directly (the parser's payload): no writable
+    array reaches its buffer. Anything else, a view of another array included,
+    is copied by the holder, so what it keeps never changes under it and never
+    keeps a larger buffer alive.
+    """
+    return (type(arr) is np.ndarray and arr.dtype == dtype and arr.ndim == ndim
+            and not arr.flags.writeable and (arr.base is None or type(arr.base) is bytes))
+
+
 def is_perfect_square(n: int) -> bool:
     if n < 1:
         return False
@@ -42,7 +56,10 @@ class _Raster:
     "sample-out-of-range". The range is tested on the raster's min and max,
     which a NaN makes NaN, so a raster holding a NaN is refused as
     "non-integral-sample" whatever else it holds. uint8 input lies in range of
-    either raster and is copied unchecked.
+    either raster and is not scanned. The pixels are held once, under the rule
+    of _held_once: a locked array of _dtype that owns its data, or views a
+    bytes object, is kept as it is; anything else, a view of another array
+    included, is copied.
     """
 
     __slots__ = ("pixels", "__weakref__")
@@ -56,7 +73,9 @@ class _Raster:
                 raise CodecError("sample-out-of-range", f"samples must lie in [{self._lo}, {self._hi}]")
             if arr.dtype.kind == "f" and not np.all(arr == np.rint(arr)):
                 raise CodecError("non-integral-sample", "samples must be whole numbers")
-        self.pixels = _locked(arr.astype(self._dtype))
+        if not _held_once(arr, self._dtype, 2):
+            arr = _locked(arr.astype(self._dtype))
+        self.pixels = arr
 
     @property
     def width(self) -> int:

@@ -157,11 +157,11 @@ def gen_mixing_matrix(seed: int, m: int, k: int) -> MixingMatrix:
 
 
 def compute_residual(frame: Frame, key: Frame) -> ResidualFrame:
-    """Signed difference frame - key, no clipping."""
+    """Signed difference frame - key, no clipping, held once by its ResidualFrame."""
     if (frame.height, frame.width) != (key.height, key.width):
         raise CodecError("dimension-mismatch",
                          f"{frame.width}x{frame.height} vs key {key.width}x{key.height}")
-    return ResidualFrame(np.subtract(frame.pixels, key.pixels, dtype=np.int16))
+    return ResidualFrame(_locked(np.subtract(frame.pixels, key.pixels, dtype=np.int16)))
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 
 import numpy as np
@@ -79,6 +80,25 @@ def test_decode_writes_zero_padded_pgms(tmp_path, capsys):
         p = tmp_path / f"dec_{i:05d}.pgm"
         assert p.exists()
         assert p.read_bytes() == b"P5\n32 32\n255\n" + bytes([55]) * (32 * 32)
+
+
+def test_decode_streams_the_same_pgms(tmp_path, capsys):
+    # two GOPs with active composites and two trailing frames: each PGM is
+    # written as its frame is decoded, byte for byte what a decode of the
+    # whole list wrote (sha256 of the 12 files in order)
+    raw = _write_moving_gray8(tmp_path / "in.gray", count=12)
+    stream_path = tmp_path / "s.ubs"
+    assert main(["encode", str(raw), "--width", "32", "--height", "32", "--frames", "12",
+                 "--block-size", "8", "--out", str(stream_path)]) == 0
+    capsys.readouterr()
+    assert main(["decode", str(stream_path), "--out", str(tmp_path / "dec")]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0] == "frames=12"
+    assert [line.split("=")[0] for line in printed[1:]] == ["decode_s", "decode_s_per_frame"]
+    pgms = sorted(tmp_path.glob("dec_*.pgm"))
+    assert [p.name for p in pgms] == [f"dec_{i:05d}.pgm" for i in range(12)]
+    digest = hashlib.sha256(b"".join(p.read_bytes() for p in pgms)).hexdigest()
+    assert digest == "57c3de510df734bc0d3347530a8af023a748f37f1e610523717d6935ad833c10"
 
 
 def test_decode_bad_magic_message(tmp_path, capsys):

@@ -14,7 +14,7 @@ import ubss_codec.mixing as mixing_mod
 import ubss_codec.tv as tv_mod
 from ubss_codec import (Bitstream, CodecConfig, CodecError, Frame,
                         SolverParams, decode_sequence, encode_sequence,
-                        moving_square, psnr, rate_report)
+                        iter_decode, moving_square, psnr, rate_report)
 
 
 def _no_matrix(*args):
@@ -319,19 +319,111 @@ def test_stream_and_decoded_frames_pinned(frames, config, stream_sha, frames_sha
     assert pixels.hexdigest() == frames_sha
 
 
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_decode_memory_is_one_uint8_gop():
-    # one GOP with 4 active composites of 1584: the decoder rebuilds the GOP in
-    # place in uint8, so its peak stays below a float64 copy of the GOP
+    # one GOP with 4 active composites of 1584: the decoder builds each frame
+    # once, in uint8, and reads the f32 records where they lie, so its peak is
+    # the 5 output frames (0.48 MiB) and the solver's working set; a float64
+    # copy of the records (0.77 MiB) or a second copy of the GOP would not fit
     stream = encode_sequence(moving_square(352, 288, 5, square=8, step=1, start_x=20),
                              CodecConfig(block_size=8, sampling_rate=0.25, seed=3))
     assert np.count_nonzero(stream.gop_measurements(0).any(axis=1)) == 4
-    tracemalloc.start()
-    try:
-        decode_sequence(stream)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < stream.gop_n * stream.height * stream.width * 8
+    output = stream.frame_count * stream.height * stream.width
+    assert _traced_peak(lambda: decode_sequence(stream)) < output + 2 ** 19
+
+
+def _many_gop_stream():
+    """239 KiB, header-legal: 16 GOPs of 1 + 225 frames of 120x120 at block 8 and
+    m = 1, all records zero, so 3,616 frames and no composite to solve."""
+    w = h = 120
+    keys = np.random.default_rng(1).integers(0, 256, (16, h * w), np.uint8)
+    payload = b"".join(key.tobytes() + bytes(225 * 4) for key in keys)
+    return Bitstream(width=w, height=h, gop_n=225, block_size=8, frame_count=16 * 226,
+                     seed=1, m_per_block=1, generator_id=1, non_residual=False, q16=False,
+                     payload=payload)
+
+
+def test_consuming_iter_decode_holds_one_gop():
+    stream = _many_gop_stream()
+    assert len(stream.to_bytes()) // 1024 == 239 and stream.frame_count == 3616
+    gop = (stream.gop_n + 1) * stream.height * stream.width  # 3.1 MiB of output
+
+    def consume():
+        for frame in iter_decode(stream):
+            pass
+    # decode_sequence's list of all 3,616 frames peaks at about 50 MiB
+    assert _traced_peak(consume) < 2 * gop
+    # the key, then a coded frame that is the key, its composites all zero
+    key = bytes(stream.payload[:stream.height * stream.width])
+    decoded = iter_decode(stream)
+    assert [next(decoded).pixels.tobytes() for _ in range(2)] == [key, key]
+
+
+@pytest.mark.parametrize("config, frames", [
+    (CodecConfig(block_size=8, sampling_rate=0.25, seed=3), 12),
+    (CodecConfig(block_size=8, sampling_rate=0.5, seed=5, measurement_format="q16"), 7),
+    (CodecConfig(block_size=8, sampling_rate=0.25, seed=3, residual_mode=False), 6),
+], ids=["f32", "q16", "non-residual"])
+def test_decoded_frames_are_held_once(config, frames):
+    # every frame, key, coded or trailing, is locked in a buffer of its own:
+    # none keeps the stream's payload or another frame of its GOP alive
+    stream = Bitstream.from_bytes(encode_sequence(
+        moving_square(32, 32, frames, square=12, start_x=2), config).to_bytes())
+    assert stream.num_trailing > 0
+    decoded = decode_sequence(stream)
+    assert len(decoded) == stream.frame_count
+    for f in decoded:
+        assert f.pixels.base is None and not f.pixels.flags.writeable
+        assert not np.shares_memory(f.pixels, stream.payload)
+
+
+def test_gop_measurements_are_the_f32_records():
+    frames = moving_square(32, 32, 12, square=12, start_x=2)
+    stream = encode_sequence(frames, CodecConfig(block_size=8, sampling_rate=0.25, seed=3))
+    blocks, m = stream.grid.num_blocks, stream.m_per_block
+    gop_bytes = stream.width * stream.height + blocks * m * 4
+    for g in range(stream.num_gops):
+        rows = stream.gop_measurements(g)
+        assert rows.dtype == np.float32 and rows.shape == (blocks, m)
+        assert not rows.flags.writeable and np.shares_memory(rows, stream.payload)
+        stored = np.frombuffer(stream.payload, "<f4", blocks * m,
+                               g * gop_bytes + stream.width * stream.height)
+        assert np.array_equal(rows, stored.reshape(blocks, m))
+    # q16 records are dequantized into a new float64 array, as before
+    q16 = encode_sequence(frames, CodecConfig(block_size=8, seed=3, measurement_format="q16"))
+    rows = q16.gop_measurements(0)
+    assert rows.dtype == np.float64 and rows.shape == (blocks, q16.m_per_block)
+    assert not np.shares_memory(rows, q16.payload)
+
+
+def test_iter_decode_checks_at_the_call_and_logs_only_at_the_end(caplog):
+    stream = encode_sequence(moving_square(32, 32, 10, square=12, start_x=2),
+                             CodecConfig(sampling_rate=0.4, seed=2))
+    for bad in ({"max_outer": 1}, "default"):
+        with pytest.raises(CodecError) as e:
+            iter_decode(stream, bad)
+        assert e.value.code == "invalid-solver-params"
+    with pytest.raises(CodecError) as e:
+        iter_decode(dataclasses.replace(stream, generator_id=200))
+    assert e.value.code == "unknown-generator"
+    # every composite stops on the cap, yet a generator stopped before the
+    # last GOP is done logs nothing
+    with caplog.at_level(logging.WARNING, logger="ubss_codec"):
+        decoded = iter_decode(stream, SolverParams(max_outer=1))
+        first = [next(decoded) for _ in range(stream.gop_n + 2)]
+        decoded.close()
+    assert len(first) == stream.gop_n + 2 and not caplog.records
+    with caplog.at_level(logging.WARNING, logger="ubss_codec"):
+        assert len(list(iter_decode(stream, SolverParams(max_outer=1)))) == stream.frame_count
+    assert len(caplog.records) == 1
 
 
 _HEADER_SIZE = codec_mod._HEADER.size

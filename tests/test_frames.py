@@ -68,6 +68,32 @@ def test_residual_refuses_what_frame_refuses():
 
 
 @pytest.mark.parametrize("raster", [Frame, ResidualFrame])
+def test_raster_holds_its_pixels_once(raster):
+    dtype = raster._dtype
+    # kept: a locked array that owns its data, and one that views bytes directly
+    owned = np.array(np.arange(12).reshape(3, 4), dtype)
+    owned.setflags(write=False)
+    assert raster(owned).pixels is owned
+    held = owned.tobytes()
+    on_bytes = np.ndarray((3, 4), dtype, held)
+    assert on_bytes.base is held and raster(on_bytes).pixels is on_bytes
+    # copied: any array that a writable array can reach, another dtype or a
+    # view of a locked array; the copy is locked and owns its buffer
+    writable = np.array(owned)
+    locked_view = writable.view()
+    locked_view.setflags(write=False)
+    for given in (writable, locked_view, owned[:2], owned.T.T, owned.astype(np.int64)):
+        pixels = raster(given).pixels
+        assert pixels.base is None and not pixels.flags.writeable
+        assert not np.shares_memory(pixels, owned) and not np.shares_memory(pixels, writable)
+        assert np.array_equal(pixels, given)
+    before = [raster(given) for given in (writable, locked_view)]
+    writable += 1
+    for r in before:
+        assert np.array_equal(r.pixels, owned)
+
+
+@pytest.mark.parametrize("raster", [Frame, ResidualFrame])
 @pytest.mark.parametrize("samples, code", [
     ([[np.nan, 1.0]], "non-integral-sample"),
     ([[np.inf, 1.0]], "sample-out-of-range"),

@@ -129,6 +129,21 @@ def test_residual_of_identical_frames_is_zero():
     assert np.all(compute_residual(f, f).pixels == 0)
 
 
+def test_residual_is_held_once():
+    # the int16 difference is locked and kept by its ResidualFrame: a copy of
+    # it would double the peak
+    frame, key = Frame(np.full((288, 352), 77, np.uint8)), Frame(np.zeros((288, 352), np.uint8))
+    compute_residual(frame, key)  # numpy's first-call caches
+    tracemalloc.start()
+    try:
+        res = compute_residual(frame, key).pixels
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.dtype == np.int16 and res.base is None and not res.flags.writeable
+    assert peak < 1.5 * res.nbytes
+
+
 def test_residual_extremes():
     lo = Frame(np.zeros((4, 4), np.uint8))
     hi = Frame(np.full((4, 4), 255, np.uint8))
