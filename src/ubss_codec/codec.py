@@ -11,10 +11,14 @@ Bitstream layout (all little-endian):
   f32[m] or (min f32, max f32, u16[m]); then the trailing key-only frames, raw.
 
 Everything the decoder needs to regenerate the mixing matrix is in the header.
+A Bitstream holds this serialization as one bytes object, which to_bytes()
+returns: the encoder writes header and payload into it in place, and the
+parser views the bytes it is given.
 """
 
 from __future__ import annotations
 
+import io
 import logging
 import math
 import numbers
@@ -25,8 +29,7 @@ import numpy as np
 
 from . import tv
 from .errors import CodecError
-from .frames import (BlockGrid, Frame, _held_once, _locked, _tile_root, is_perfect_square,
-                     segment_gops)
+from .frames import BlockGrid, Frame, _locked, _tile_root, is_perfect_square, segment_gops
 from .mixing import (GENERATOR_SPLITMIX64_BOXMULLER, MeasurementVector,
                      StreamAccumulator, compute_residual,
                      disassemble_composite, gen_mixing_matrix)
@@ -84,10 +87,41 @@ def _field_max(name: str) -> int:
 
 def _check_fits(name: str, value: int) -> None:
     """Refuse a value that is not an integer the unsigned header field `name` can hold."""
-    if not isinstance(value, numbers.Integral):
+    # type() first: the Integral ABC check costs as much as packing the header
+    if type(value) is not int and not isinstance(value, numbers.Integral):
         raise CodecError("non-integer-field", f"{name}={value!r} is not an integer")
     if not 0 <= value <= _field_max(name):
         raise CodecError("header-field-overflow", f"{name}={value} outside [0, {_field_max(name)}]")
+
+
+def _seed64(seed: numbers.Integral) -> int:
+    """An integer seed modulo 2^64, as the header stores it and the generator reads it."""
+    return int(seed) & _field_max("seed")
+
+
+def _header(fields) -> bytes:
+    """The packed header of a stream whose fields are given by Bitstream field name.
+
+    Each header field is checked first, so struct never sees a value it cannot pack.
+    """
+    for name in _FIELDS:
+        if name not in _FRAMING:
+            _check_fits(name, fields[name])
+    flags = (FLAG_NON_RESIDUAL if fields["non_residual"] else 0) | (FLAG_Q16 if fields["q16"] else 0)
+    framing = {"magic": MAGIC, "version": VERSION, "flags": flags, "reserved": 0}
+    return _HEADER.pack(*(framing[name] if name in framing else fields[name] for name in _FIELDS))
+
+
+def _views_serialization(payload, header: bytes) -> bool:
+    """Whether payload is a uint8 view, at offset len(header), of a bytes object that
+    holds exactly header and then payload: a stream's own serialization. Such a view
+    is read-only, and numpy cannot make it writable."""
+    data = payload.base if type(payload) is np.ndarray else None
+    return (type(data) is bytes and payload.dtype == np.uint8 and payload.ndim == 1
+            and payload.flags.c_contiguous and len(data) == len(header) + payload.size
+            and (payload.__array_interface__["data"][0]
+                 - np.frombuffer(data, np.uint8).__array_interface__["data"][0]) == len(header)
+            and data.startswith(header))
 
 
 def _check_decoder_work(m: int, gop_n: int, block_size: int) -> None:
@@ -149,13 +183,19 @@ class RateReport:
 class Bitstream:
     """Parsed container: header fields plus the payload, a read-only 1-D uint8 array.
 
-    The payload is held once, under the rule of frames._held_once: a locked
-    array that owns its data (the encoder's buffer) or views a bytes object
-    directly (the parser's) is kept as it is; any other buffer is copied into
-    bytes first. Keys, records and trailing rasters are views into it, and
-    gop_key and trailing_frame copy theirs out. Frozen, because the checks and
-    the payload views are made once, at construction; dataclasses.replace
-    builds a checked copy. Two streams are equal when their serializations are.
+    A stream holds its serialization, header then payload, as one bytes object,
+    and the payload is a view of it at offset _HEADER.size, so to_bytes()
+    returns that object and copies nothing. A payload is kept as it is only
+    when it is already such a view, of bytes that hold exactly this stream's
+    header and then the payload: the encoder's output and from_bytes(bytes)
+    are. Anything else (an array, a bytearray, headerless bytes, or a stream's
+    payload under a header that dataclasses.replace changed) is copied once
+    into new bytes behind the header. numpy cannot make an array over bytes
+    writable, so nothing can change a stream after its checks. Keys, records
+    and trailing rasters are views into the payload, and gop_key and
+    trailing_frame copy theirs out. Frozen, because the checks and the payload
+    views are made once, at construction; dataclasses.replace builds a checked
+    copy. Two streams are equal when their serializations are.
     """
 
     width: int
@@ -171,25 +211,20 @@ class Bitstream:
     payload: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if isinstance(self.seed, numbers.Integral):  # modulo 2^64, as the generator reads it
-            # _validate refuses other seeds
-            object.__setattr__(self, "seed", int(self.seed) & _field_max("seed"))
-        if not _held_once(self.payload, np.uint8, 1):
-            object.__setattr__(self, "payload", np.frombuffer(bytes(self.payload), np.uint8))
+        if isinstance(self.seed, numbers.Integral):  # _header refuses other seeds
+            object.__setattr__(self, "seed", _seed64(self.seed))
         self._validate()
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._header() == other._header() and np.array_equal(self.payload, other.payload)
+        return self.to_bytes() == other.to_bytes()
 
     def __hash__(self):
-        return hash(self._header())
+        return hash(self.to_bytes())
 
     def _validate(self):
-        for name in _FIELDS:
-            if name not in _FRAMING:
-                _check_fits(name, getattr(self, name))
+        header = _header(vars(self))
         if self.width < 1 or self.height < 1:
             raise CodecError("invalid-header", f"dimensions {self.width}x{self.height}")
         if not is_perfect_square(self.gop_n):
@@ -202,6 +237,11 @@ class Bitstream:
         if not (1 <= self.m_per_block <= self.k):
             raise CodecError("invalid-header", f"m={self.m_per_block} outside [1, {self.k}]")
         _check_decoder_work(self.m_per_block, self.gop_n, self.block_size)
+        if not _views_serialization(self.payload, header):
+            given = self.payload
+            body = np.ascontiguousarray(given) if isinstance(given, np.ndarray) else bytes(given)
+            object.__setattr__(self, "payload", np.frombuffer(header + memoryview(body), np.uint8,
+                                                              offset=_HEADER.size))
         size, views = _payload_layout(self.width, self.height, self.num_gops, self.grid.num_blocks,
                                       self.num_trailing, _record(self.m_per_block, self.q16))
         if len(self.payload) != size:
@@ -266,14 +306,9 @@ class Bitstream:
 
     # -- serialization -----------------------------------------------------
 
-    def _header(self) -> bytes:
-        flags = (FLAG_NON_RESIDUAL if self.non_residual else 0) | (FLAG_Q16 if self.q16 else 0)
-        framing = {"magic": MAGIC, "version": VERSION, "flags": flags, "reserved": 0}
-        return _HEADER.pack(*(framing[name] if name in framing else getattr(self, name)
-                              for name in _FIELDS))
-
     def to_bytes(self) -> bytes:
-        return self._header() + memoryview(self.payload)
+        """The serialization the payload views: the same object on every call."""
+        return self.payload.base
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Bitstream":
@@ -326,19 +361,26 @@ def encode_sequence(frames, config: CodecConfig) -> Bitstream:
         if not isinstance(f, Frame):
             raise CodecError("not-a-frame", f"encode_sequence takes Frames, not {type(f).__name__}")
     width, height = frames[0].width, frames[0].height
-    _check_fits("width", width)
-    _check_fits("height", height)
+    q16 = config.measurement_format == "q16"
+    fields = dict(width=width, height=height, gop_n=config.n, block_size=config.block_size,
+                  frame_count=len(frames), seed=_seed64(config.seed), m_per_block=config.m,
+                  generator_id=GENERATOR_SPLITMIX64_BOXMULLER,
+                  non_residual=not config.residual_mode, q16=q16)
+    header = _header(fields)  # refuses a width, height or frame count the header cannot hold
     grid = BlockGrid.for_dims(width, height, config.block_size)
     gops, trailing = segment_gops(frames, config.n)
     matrix = gen_mixing_matrix(config.seed, config.m, config.k)
-    q16 = config.measurement_format == "q16"
     # the non-residual ablation mixes the raw frames, i.e. subtracts an all-zero key
     zero_key = None if config.residual_mode else Frame(np.zeros((height, width), np.uint8))
 
     size, views = _payload_layout(width, height, len(gops), grid.num_blocks, len(trailing),
                                   _record(config.m, q16))
-    payload = np.empty(size, np.uint8)  # the packed layout writes every byte
-    keys, records, rasters = views(payload)
+    # the serialization, sized once behind the header; the packed layout then
+    # writes every payload byte in place
+    out = io.BytesIO(header)
+    out.seek(_HEADER.size + size - 1)
+    out.write(b"\0")
+    keys, records, rasters = views(np.frombuffer(out.getbuffer(), np.uint8, offset=_HEADER.size))
     for i, gop in enumerate(gops):
         keys[i] = gop.key.pixels
         key = gop.key if config.residual_mode else zero_key
@@ -349,13 +391,11 @@ def encode_sequence(frames, config: CodecConfig) -> Bitstream:
         _pack_records(records[i], acc.finish(), q16)
     for j, f in enumerate(trailing):
         rasters[j] = f.pixels
-    payload.setflags(write=False)  # locked, so Bitstream holds it without a copy
-    return Bitstream(width=width, height=height, gop_n=config.n,
-                     block_size=config.block_size, frame_count=len(frames),
-                     seed=config.seed, m_per_block=config.m,
-                     generator_id=GENERATOR_SPLITMIX64_BOXMULLER,
-                     non_residual=not config.residual_mode, q16=q16,
-                     payload=payload)
+    # with no view left to export the buffer, getvalue() hands it over uncopied;
+    # a live view would make it copy
+    del keys, records, rasters
+    return Bitstream(**fields, payload=np.frombuffer(out.getvalue(), np.uint8,
+                                                     offset=_HEADER.size))
 
 
 def iter_decode(stream: Bitstream, solver_params: tv.SolverParams | None = None):
@@ -436,7 +476,7 @@ def rate_report(stream: Bitstream) -> RateReport:
     source_samples = stream.width * stream.height * stream.frame_count
     measurement_count = stream.num_gops * stream.grid.num_blocks * stream.m_per_block
     key_samples = (stream.num_gops + stream.num_trailing) * stream.width * stream.height
-    total_bytes = _HEADER.size + len(stream.payload)
+    total_bytes = len(stream.to_bytes())
     return RateReport(
         source_samples=source_samples,
         measurement_count=measurement_count,

@@ -24,10 +24,15 @@ def _held_once(arr, dtype, ndim: int) -> bool:
 
     It can when it is a plain read-only ndarray of this dtype and number of
     dimensions that owns its data (a buffer its maker has locked and handed
-    over) or views a bytes object directly (the parser's payload): no writable
-    array reaches its buffer. Anything else, a view of another array included,
-    is copied by the holder, so what it keeps never changes under it and never
-    keeps a larger buffer alive.
+    over) or views a bytes object directly: no writable array reaches its
+    buffer. Anything else, a view of another array included, is copied by the
+    holder, so what it keeps never changes under it and never keeps a larger
+    buffer alive.
+
+    The lock guards against accidents, not against a holder that unlocks:
+    numpy lets whoever holds an array that owns its data make it writable
+    again, and writes then reach what was kept. Only an array over bytes
+    cannot be unlocked, which is why a Bitstream keeps its payload that way.
     """
     return (type(arr) is np.ndarray and arr.dtype == dtype and arr.ndim == ndim
             and not arr.flags.writeable and (arr.base is None or type(arr.base) is bytes))

@@ -462,17 +462,16 @@ def test_payload_is_held_once():
     # the shape of the benchmark's capture workload: 20 GOPs and a trailing frame
     frames = moving_square(352, 288, 101, square=40, step=1, start_x=20)
     config = CodecConfig(block_size=8, sampling_rate=0.25, seed=3)
-    encode_sequence(frames[:6], config)  # numpy's first-call caches
+    encode_sequence(frames[:6], config).to_bytes()  # numpy's first-call caches
     tracemalloc.start()
     try:
-        stream = encode_sequence(frames, config)
+        data = encode_sequence(frames, config).to_bytes()
         encode_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the payload buffer plus one GOP's working set (about 1.3 MiB): a copy of
-    # the 9.8 MiB payload would double the peak
-    assert encode_peak < 1.15 * len(stream.payload)
-    data = stream.to_bytes()
+    # the serialization plus one GOP's working set (about 1.3 MiB): a copy of
+    # the 9.8 MiB payload, in the encoder or in to_bytes, would double the peak
+    assert encode_peak < 1.15 * (len(data) - _HEADER_SIZE)
     tracemalloc.start()
     try:
         parsed = Bitstream.from_bytes(data)
@@ -481,30 +480,65 @@ def test_payload_is_held_once():
         tracemalloc.stop()
     # the parser views the bytes it is given
     assert parse_peak < len(data) // 32
-    assert parsed.payload.base is data
-    assert parsed == stream
+    assert parsed.payload.base is data and parsed.to_bytes() is data
 
 
-def test_payload_is_copied_unless_nothing_writable_reaches_it():
+def test_to_bytes_returns_the_held_serialization():
     stream = _small_stream()
     data = stream.to_bytes()
-    # kept: the encoder's locked buffer, a view of bytes, and what a stream holds
-    assert stream.payload.base is None and not stream.payload.flags.writeable
-    assert dataclasses.replace(stream, seed=2).payload is stream.payload
+    assert type(data) is bytes and stream.to_bytes() is data
+    assert stream.payload.base is data and data[_HEADER_SIZE:] == stream.payload.tobytes()
+    assert Bitstream.from_bytes(data).to_bytes() is data
+    parsed = Bitstream.from_bytes(bytearray(data))
+    assert parsed.to_bytes() == data and parsed.to_bytes() is not data
+    assert parsed.to_bytes() is parsed.to_bytes()
+
+
+def test_frame_memory_order_does_not_change_the_stream():
+    # one GOP and two trailing frames, so keys, records and rasters are all written
+    frames = moving_square(32, 32, 7, square=12, start_x=2)
+    config = CodecConfig(block_size=8)
+    data = encode_sequence(frames, config).to_bytes()
+    # Frame's copy keeps the memory order, and a view of bytes is kept as it
+    # is: here every other column of a raster twice as wide
+    fortran = [Frame(np.asfortranarray(f.pixels)) for f in frames]
+    strided = [Frame(np.ndarray((32, 32), np.uint8, np.repeat(f.pixels, 2, axis=1).tobytes(),
+                                0, (64, 2))) for f in frames]
+    assert all(f.pixels.flags.f_contiguous and not f.pixels.flags.c_contiguous for f in fortran)
+    assert all(f.pixels.strides == (64, 2) for f in strided)
+    for given in (fortran, strided):
+        assert [f.pixels.tolist() for f in given] == [f.pixels.tolist() for f in frames]
+        assert encode_sequence(given, config).to_bytes() == data
+
+
+def test_payload_is_copied_unless_it_views_its_serialization():
+    stream = _small_stream()
+    data = stream.to_bytes()
+    # kept: a read-only view, at the header's end, of bytes that hold exactly
+    # this stream's header and then the payload
+    assert stream.payload.base is data and not stream.payload.flags.writeable
+    assert dataclasses.replace(stream).payload is stream.payload
     assert Bitstream.from_bytes(data).payload.base is data
-    held = bytes(stream.payload)
-    assert dataclasses.replace(stream, payload=held).payload.base is held
-    # copied: any buffer that a writable array can reach
+    # copied once into new bytes behind the header: a header change, or any
+    # other payload: a writable array, bytes without the header, a view of
+    # the payload, or a view of bytes that hold more than the serialization
+    moved = dataclasses.replace(stream, seed=2)
+    assert not np.shares_memory(moved.payload, stream.payload)
+    assert moved.to_bytes()[:_HEADER_SIZE] != data[:_HEADER_SIZE]
     writable = np.array(stream.payload)
     locked_view = writable.view()
     locked_view.setflags(write=False)
-    view_of_locked = stream.payload[:]
+    headerless = data[_HEADER_SIZE:]
+    longer = data + b"\0"
     mutable = bytearray(data)
     for given, source in ((writable, writable), (locked_view, writable),
-                          (view_of_locked, view_of_locked),
+                          (headerless, headerless), (moved.payload, moved.to_bytes()),
+                          (stream.payload[:], data),
+                          (np.frombuffer(longer, np.uint8, len(headerless), _HEADER_SIZE), longer),
                           (np.frombuffer(mutable, np.uint8, offset=_HEADER_SIZE), mutable),
                           (memoryview(mutable)[_HEADER_SIZE:], mutable)):
         copy = dataclasses.replace(stream, payload=given)
+        assert copy.to_bytes() == data and copy.payload.base is copy.to_bytes()
         assert not np.shares_memory(copy.payload, np.frombuffer(source, np.uint8))
     parsed = Bitstream.from_bytes(mutable)
     before = [dataclasses.replace(stream, payload=given) for given in (writable, locked_view)]
@@ -518,11 +552,15 @@ def test_payload_is_read_only():
     stream = _small_stream()
     data = stream.to_bytes()
     for s in (stream, Bitstream.from_bytes(data), Bitstream.from_bytes(bytearray(data)),
+              dataclasses.replace(stream, seed=2),
               dataclasses.replace(stream, payload=np.array(stream.payload)),
               Bitstream(**_header_fields())):
         assert s.payload.dtype == np.uint8 and s.payload.ndim == 1
         with pytest.raises(ValueError):
             s.payload[0] = 1
+        # an array over bytes cannot be unlocked, so no holder can write to it
+        with pytest.raises(ValueError):
+            s.payload.setflags(write=True)
         assert s.to_bytes()[:4] == b"UBS1"
     assert stream.to_bytes() == data
 
@@ -546,6 +584,7 @@ def test_streams_compare_by_their_bytes():
     parsed = Bitstream.from_bytes(stream.to_bytes())
     assert parsed == stream and hash(parsed) == hash(stream)
     assert len({stream, parsed, dataclasses.replace(stream, seed=2)}) == 2
+    assert hash(stream) == hash(stream.to_bytes())
     flipped = np.array(stream.payload)
     flipped[-1] ^= 1
     assert dataclasses.replace(stream, payload=flipped) != stream
