@@ -9,9 +9,8 @@ total-variation minimization over composite blocks, one group at a time.
 import logging
 
 from .errors import CodecError
-from .frames import (BlockGrid, Frame, Gop, ResidualFrame, is_perfect_square,
-                     load_raw_sequence, mean_coded_psnr, psnr, save_frame_pgm,
-                     segment_gops)
+from .frames import (BlockGrid, Frame, Gop, ResidualFrame, load_raw_sequence,
+                     mean_coded_psnr, psnr, save_frame_pgm, segment_gops)
 from .mixing import (GENERATOR_SPLITMIX64_BOXMULLER, CompositeBlock,
                      MeasurementVector, MixingMatrix, StreamAccumulator,
                      assemble_composite, compute_residual,

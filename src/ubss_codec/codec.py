@@ -11,9 +11,9 @@ Bitstream layout (all little-endian):
   f32[m] or (min f32, max f32, u16[m]); then the trailing key-only frames, raw.
 
 Everything the decoder needs to regenerate the mixing matrix is in the header.
-A Bitstream holds this serialization as one bytes object, which to_bytes()
-returns: the encoder writes header and payload into it in place, and the
-parser views the bytes it is given.
+A Bitstream is made one way, by parsing a serialization, and holds it as one
+bytes object, which to_bytes() returns: the encoder writes header and payload
+into it in place and parses that, and the parser views the bytes it is given.
 """
 
 from __future__ import annotations
@@ -87,41 +87,22 @@ def _field_max(name: str) -> int:
 
 def _check_fits(name: str, value: int) -> None:
     """Refuse a value that is not an integer the unsigned header field `name` can hold."""
-    # type() first: the Integral ABC check costs as much as packing the header
-    if type(value) is not int and not isinstance(value, numbers.Integral):
+    if not isinstance(value, numbers.Integral):
         raise CodecError("non-integer-field", f"{name}={value!r} is not an integer")
     if not 0 <= value <= _field_max(name):
         raise CodecError("header-field-overflow", f"{name}={value} outside [0, {_field_max(name)}]")
 
 
-def _seed64(seed: numbers.Integral) -> int:
-    """An integer seed modulo 2^64, as the header stores it and the generator reads it."""
-    return int(seed) & _field_max("seed")
-
-
-def _header(fields) -> bytes:
+def _header(non_residual: bool, q16: bool, **fields) -> bytes:
     """The packed header of a stream whose fields are given by Bitstream field name.
 
     Each header field is checked first, so struct never sees a value it cannot pack.
     """
-    for name in _FIELDS:
-        if name not in _FRAMING:
-            _check_fits(name, fields[name])
-    flags = (FLAG_NON_RESIDUAL if fields["non_residual"] else 0) | (FLAG_Q16 if fields["q16"] else 0)
-    framing = {"magic": MAGIC, "version": VERSION, "flags": flags, "reserved": 0}
-    return _HEADER.pack(*(framing[name] if name in framing else fields[name] for name in _FIELDS))
-
-
-def _views_serialization(payload, header: bytes) -> bool:
-    """Whether payload is a uint8 view, at offset len(header), of a bytes object that
-    holds exactly header and then payload: a stream's own serialization. Such a view
-    is read-only, and numpy cannot make it writable."""
-    data = payload.base if type(payload) is np.ndarray else None
-    return (type(data) is bytes and payload.dtype == np.uint8 and payload.ndim == 1
-            and payload.flags.c_contiguous and len(data) == len(header) + payload.size
-            and (payload.__array_interface__["data"][0]
-                 - np.frombuffer(data, np.uint8).__array_interface__["data"][0]) == len(header)
-            and data.startswith(header))
+    for name, value in fields.items():
+        _check_fits(name, value)
+    fields.update(magic=MAGIC, version=VERSION, reserved=0,
+                  flags=(FLAG_NON_RESIDUAL if non_residual else 0) | (FLAG_Q16 if q16 else 0))
+    return _HEADER.pack(*(fields[name] for name in _FIELDS))
 
 
 def _check_decoder_work(m: int, gop_n: int, block_size: int) -> None:
@@ -179,23 +160,20 @@ class RateReport:
     bit_domain_ratio: float
 
 
-@dataclass(kw_only=True, frozen=True)
+@dataclass(frozen=True, init=False)
 class Bitstream:
-    """Parsed container: header fields plus the payload, a read-only 1-D uint8 array.
+    """A parsed stream: header fields plus the payload, a read-only 1-D uint8 array.
 
-    A stream holds its serialization, header then payload, as one bytes object,
-    and the payload is a view of it at offset _HEADER.size, so to_bytes()
-    returns that object and copies nothing. A payload is kept as it is only
-    when it is already such a view, of bytes that hold exactly this stream's
-    header and then the payload: the encoder's output and from_bytes(bytes)
-    are. Anything else (an array, a bytearray, headerless bytes, or a stream's
-    payload under a header that dataclasses.replace changed) is copied once
-    into new bytes behind the header. numpy cannot make an array over bytes
-    writable, so nothing can change a stream after its checks. Keys, records
-    and trailing rasters are views into the payload, and gop_key and
-    trailing_frame copy theirs out. Frozen, because the checks and the payload
-    views are made once, at construction; dataclasses.replace builds a checked
-    copy. Two streams are equal when their serializations are.
+    Bitstream(data) is the one way to make a stream: it parses the
+    serialization `data`, header then payload, and checks it. bytes are kept
+    as they are; a bytearray or a memoryview is copied into bytes once. The
+    payload is a view of those bytes at offset _HEADER.size, so to_bytes()
+    returns them and copies nothing, and numpy cannot make an array over
+    bytes writable, so nothing can change a stream after its checks. Keys,
+    records and trailing rasters are views into the payload, and gop_key and
+    trailing_frame copy theirs out. Frozen, because the checks and the
+    payload views are made once, at construction. Two streams are equal when
+    their serializations are.
     """
 
     width: int
@@ -210,9 +188,24 @@ class Bitstream:
     q16: bool
     payload: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        if isinstance(self.seed, numbers.Integral):  # _header refuses other seeds
-            object.__setattr__(self, "seed", _seed64(self.seed))
+    def __init__(self, data):
+        if len(data) < 4 or data[:4] != MAGIC:
+            raise CodecError("bad-magic", "input is not a UBS1 bitstream")
+        if len(data) < _HEADER.size:
+            raise CodecError("truncated-payload", f"{len(data)} bytes is shorter than the header")
+        data = data if type(data) is bytes else bytes(data)
+        fields = dict(zip(_FIELDS, _HEADER.unpack_from(data)))
+        _, version, flags, reserved = (fields.pop(name) for name in _FRAMING)
+        if version != VERSION:
+            raise CodecError("unsupported-version", f"version {version}")
+        # the encoder writes them as zero, so any other value would not round-trip
+        if flags & ~(FLAG_NON_RESIDUAL | FLAG_Q16) or reserved:
+            raise CodecError("invalid-header", f"flags {flags:#04x}, reserved byte {reserved}: "
+                             "undefined bits must be zero")
+        fields.update(non_residual=bool(flags & FLAG_NON_RESIDUAL), q16=bool(flags & FLAG_Q16),
+                      payload=np.frombuffer(data, np.uint8, offset=_HEADER.size))
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
         self._validate()
 
     def __eq__(self, other):
@@ -224,7 +217,6 @@ class Bitstream:
         return hash(self.to_bytes())
 
     def _validate(self):
-        header = _header(vars(self))
         if self.width < 1 or self.height < 1:
             raise CodecError("invalid-header", f"dimensions {self.width}x{self.height}")
         if not is_perfect_square(self.gop_n):
@@ -237,11 +229,6 @@ class Bitstream:
         if not (1 <= self.m_per_block <= self.k):
             raise CodecError("invalid-header", f"m={self.m_per_block} outside [1, {self.k}]")
         _check_decoder_work(self.m_per_block, self.gop_n, self.block_size)
-        if not _views_serialization(self.payload, header):
-            given = self.payload
-            body = np.ascontiguousarray(given) if isinstance(given, np.ndarray) else bytes(given)
-            object.__setattr__(self, "payload", np.frombuffer(header + memoryview(body), np.uint8,
-                                                              offset=_HEADER.size))
         size, views = _payload_layout(self.width, self.height, self.num_gops, self.grid.num_blocks,
                                       self.num_trailing, _record(self.m_per_block, self.q16))
         if len(self.payload) != size:
@@ -312,21 +299,8 @@ class Bitstream:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Bitstream":
-        if len(data) < 4 or data[:4] != MAGIC:
-            raise CodecError("bad-magic", "input is not a UBS1 bitstream")
-        if len(data) < _HEADER.size:
-            raise CodecError("truncated-payload", f"{len(data)} bytes is shorter than the header")
-        fields = dict(zip(_FIELDS, _HEADER.unpack_from(data)))
-        _, version, flags, reserved = (fields.pop(name) for name in _FRAMING)
-        if version != VERSION:
-            raise CodecError("unsupported-version", f"version {version}")
-        # to_bytes writes them as zero, so any other value would not round-trip
-        if flags & ~(FLAG_NON_RESIDUAL | FLAG_Q16) or reserved:
-            raise CodecError("invalid-header", f"flags {flags:#04x}, reserved byte {reserved}: "
-                             "undefined bits must be zero")
-        return cls(**fields, non_residual=bool(flags & FLAG_NON_RESIDUAL),
-                   q16=bool(flags & FLAG_Q16),
-                   payload=np.frombuffer(bytes(data), np.uint8, offset=_HEADER.size))
+        """Parse a stream: the same as Bitstream(data)."""
+        return cls(data)
 
 
 def _checked_index(i, count: int, what: str) -> int:
@@ -362,11 +336,12 @@ def encode_sequence(frames, config: CodecConfig) -> Bitstream:
             raise CodecError("not-a-frame", f"encode_sequence takes Frames, not {type(f).__name__}")
     width, height = frames[0].width, frames[0].height
     q16 = config.measurement_format == "q16"
-    fields = dict(width=width, height=height, gop_n=config.n, block_size=config.block_size,
-                  frame_count=len(frames), seed=_seed64(config.seed), m_per_block=config.m,
-                  generator_id=GENERATOR_SPLITMIX64_BOXMULLER,
-                  non_residual=not config.residual_mode, q16=q16)
-    header = _header(fields)  # refuses a width, height or frame count the header cannot hold
+    # refuses a width, height or frame count the header cannot hold; the seed
+    # is stored modulo 2^64, as the generator reads it
+    header = _header(width=width, height=height, gop_n=config.n, block_size=config.block_size,
+                     frame_count=len(frames), seed=int(config.seed) & _field_max("seed"),
+                     m_per_block=config.m, generator_id=GENERATOR_SPLITMIX64_BOXMULLER,
+                     non_residual=not config.residual_mode, q16=q16)
     grid = BlockGrid.for_dims(width, height, config.block_size)
     gops, trailing = segment_gops(frames, config.n)
     matrix = gen_mixing_matrix(config.seed, config.m, config.k)
@@ -394,8 +369,7 @@ def encode_sequence(frames, config: CodecConfig) -> Bitstream:
     # with no view left to export the buffer, getvalue() hands it over uncopied;
     # a live view would make it copy
     del keys, records, rasters
-    return Bitstream(**fields, payload=np.frombuffer(out.getvalue(), np.uint8,
-                                                     offset=_HEADER.size))
+    return Bitstream(out.getvalue())
 
 
 def iter_decode(stream: Bitstream, solver_params: tv.SolverParams | None = None):

@@ -157,6 +157,7 @@ def load_raw_sequence(path, width: int, height: int, count: int, fmt: str = "gra
     """Read `count` luma frames from a headerless raw file.
 
     For yuv420p input only the luma plane is kept; chroma bytes are skipped.
+    Each Frame views the bytes its plane was read into, without a copy.
     """
     if fmt not in RAW_FORMATS:
         raise CodecError("unknown-format", f"format {fmt!r} not one of {RAW_FORMATS}")
@@ -175,7 +176,10 @@ def load_raw_sequence(path, width: int, height: int, count: int, fmt: str = "gra
         with open(path, "rb") as fh:
             for _ in range(count):
                 plane = fh.read(luma)
-                frames.append(Frame(np.frombuffer(plane, dtype=np.uint8).reshape(height, width)))
+                if len(plane) < luma:  # the file shrank after its size was read
+                    raise CodecError("file-too-short", f"a frame ends after {len(plane)} of "
+                                     f"{luma} bytes")
+                frames.append(Frame(np.ndarray((height, width), np.uint8, plane)))
                 fh.seek(per_frame - luma, os.SEEK_CUR)
     except OSError as exc:
         raise CodecError("io-failure", str(exc)) from exc

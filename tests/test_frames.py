@@ -147,6 +147,30 @@ def test_load_yuv420p_keeps_luma_only(tmp_path):
     assert np.all(frames[1].pixels == 200)
 
 
+@pytest.mark.parametrize("fmt", ["gray8", "yuv420p"])
+def test_loaded_frames_view_the_bytes_read(tmp_path, fmt):
+    # each frame keeps the bytes its luma plane was read into, without a copy
+    w, h, count = 6, 4, 3
+    per_frame = w * h if fmt == "gray8" else w * h * 3 // 2
+    data = np.random.default_rng(2).integers(0, 256, count * per_frame, np.uint8)
+    path = tmp_path / f"seq.{fmt}"
+    path.write_bytes(data.tobytes())
+    frames = load_raw_sequence(path, w, h, count, fmt)
+    for i, f in enumerate(frames):
+        assert type(f.pixels.base) is bytes and len(f.pixels.base) == w * h
+        assert np.array_equal(f.pixels, data[i * per_frame:i * per_frame + w * h].reshape(h, w))
+
+
+def test_load_short_read(tmp_path, monkeypatch):
+    # a file that is shorter when read than its size said
+    path = tmp_path / "short.gray"
+    path.write_bytes(b"\x00" * 100)
+    monkeypatch.setattr("os.path.getsize", lambda p: 176 * 144)
+    with pytest.raises(CodecError) as e:
+        load_raw_sequence(path, 176, 144, 1, "gray8")
+    assert e.value.code == "file-too-short"
+
+
 def test_load_too_short(tmp_path):
     path = tmp_path / "short.gray"
     path.write_bytes(b"\x00" * 100)
