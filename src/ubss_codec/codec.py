@@ -166,14 +166,15 @@ class Bitstream:
 
     Bitstream(data) is the one way to make a stream: it parses the
     serialization `data`, header then payload, and checks it. bytes are kept
-    as they are; a bytearray or a memoryview is copied into bytes once. The
-    payload is a view of those bytes at offset _HEADER.size, so to_bytes()
-    returns them and copies nothing, and numpy cannot make an array over
-    bytes writable, so nothing can change a stream after its checks. Keys,
-    records and trailing rasters are views into the payload, and gop_key and
-    trailing_frame copy theirs out. Frozen, because the checks and the
-    payload views are made once, at construction. Two streams are equal when
-    their serializations are.
+    as they are; a bytearray or a memoryview is copied into bytes once (a
+    memoryview as its raw bytes), and anything else, a numpy array included,
+    is refused as "not-bytes". The payload is a view of those bytes at offset
+    _HEADER.size, so to_bytes() returns them and copies nothing, and numpy
+    cannot make an array over bytes writable, so nothing can change a stream
+    after its checks. Keys, records and trailing rasters are views into the
+    payload, and gop_key and trailing_frame copy theirs out. Frozen, because
+    the checks and the payload views are made once, at construction. Two
+    streams are equal when their serializations are.
     """
 
     width: int
@@ -189,11 +190,13 @@ class Bitstream:
     payload: np.ndarray = field(repr=False)
 
     def __init__(self, data):
+        if not isinstance(data, (bytes, bytearray, memoryview)):
+            raise CodecError("not-bytes", f"a stream is parsed from bytes, not {type(data).__name__}")
+        data = data if type(data) is bytes else bytes(data)
         if len(data) < 4 or data[:4] != MAGIC:
             raise CodecError("bad-magic", "input is not a UBS1 bitstream")
         if len(data) < _HEADER.size:
             raise CodecError("truncated-payload", f"{len(data)} bytes is shorter than the header")
-        data = data if type(data) is bytes else bytes(data)
         fields = dict(zip(_FIELDS, _HEADER.unpack_from(data)))
         _, version, flags, reserved = (fields.pop(name) for name in _FRAMING)
         if version != VERSION:

@@ -243,6 +243,26 @@ def mix_batch(matrix: MixingMatrix, block: CompositeBlock) -> MeasurementVector:
                              values=matrix.entries @ block.values.ravel())
 
 
+def _changed_blocks(pixels: np.ndarray, grid: BlockGrid) -> np.ndarray:
+    """Grid-order indices of the blocks of a C-ordered int16 raster that hold a nonzero pixel.
+
+    The test runs on unsigned words of gcd(2 bs, 8) bytes, so that a block row
+    of bs pixels is a whole number of words, per = 2 bs / size of them, and a
+    word is nonzero exactly when one of its pixels is. One reduce ORs each
+    band of bs pixel rows into one row of words, and ORs of strided slices
+    fold the per words of each block into one. The words are freed on return.
+    """
+    bs = grid.block_size
+    size = math.gcd(2 * bs, 8)
+    per = 2 * bs // size
+    words = np.bitwise_or.reduce(pixels.view(f"u{size}").reshape(grid.rows, bs, grid.cols * per),
+                                 axis=1)
+    folded = words[:, 0::per]
+    for i in range(1, per):
+        folded = folded | words[:, i::per]
+    return folded.ravel().nonzero()[0]
+
+
 class StreamAccumulator:
     """Accumulates per-block measurements one residual frame at a time.
 
@@ -251,8 +271,12 @@ class StreamAccumulator:
     the column sub-block of the mixing matrix for tile j of the t x t
     composite, t = sqrt(n). An all-zero block adds nothing, so push gathers
     and multiplies only the blocks with a nonzero pixel: its work and memory
-    are proportional to the changed blocks. finish() returns the sums as
-    they are, locked, and consumes the accumulator: partial is None.
+    are proportional to the changed blocks. It finds them on machine words
+    of the residual rather than on its int16 pixels (_changed_blocks), and it
+    reads a residual held in any memory order: the test and the gather read
+    one C-ordered array, a copy only when the pixels are in another order.
+    finish() returns the sums as they are, locked, and consumes the
+    accumulator: partial is None.
     """
 
     def __init__(self, matrix: MixingMatrix, grid: BlockGrid, n: int):
@@ -278,19 +302,21 @@ class StreamAccumulator:
             raise CodecError("dimension-mismatch",
                              f"residual {residual.width}x{residual.height} does not match grid")
         self.frames_pushed += 1
-        rows, cols = self.grid.rows, self.grid.cols
-        # the blocks with a nonzero pixel; block (bx, by) is [by, :, bx, :], as in _split_blocks
-        view = residual.pixels.reshape(rows, bs, cols, bs)
-        by, bx = np.nonzero(np.bitwise_or.reduce(np.bitwise_or.reduce(view, axis=1), axis=2))
-        if not len(by):
+        # viewing pixel rows as wider words needs C order; the gather reads the same array
+        pixels = np.ascontiguousarray(residual.pixels)
+        changed = _changed_blocks(pixels, self.grid)
+        if not len(changed):
             return  # an all-zero frame adds nothing and reads no entry of the matrix
         m, t = self.matrix.m, self.t
         ty, tx = divmod(frame_index_in_group, t)
         # columns of A that multiply tile (tx, ty) of the composite
         sub = self.matrix.entries.reshape(m, t, bs, t, bs)[:, ty, :, tx, :].reshape(m, bs * bs)
-        changed = np.ravel_multi_index((by, bx), (rows, cols))
+        # block (bx, by) is [by, :, bx, :], as in _split_blocks
+        rows, cols = self.grid.rows, self.grid.cols
+        by, bx = np.divmod(changed, cols)
         # the float64 block stack is freed before the changed rows are read back
-        product = view[by, :, bx, :].reshape(len(by), bs * bs).astype(np.float64) @ sub.T
+        product = (pixels.reshape(rows, bs, cols, bs)[by, :, bx, :].reshape(len(changed), bs * bs)
+                   .astype(np.float64) @ sub.T)
         product += self.partial.take(changed, axis=0)
         self.partial[changed] = product
 

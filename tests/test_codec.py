@@ -310,7 +310,16 @@ def _inverted_square_frames():
      CodecConfig(block_size=8, sampling_rate=0.15, seed=9, residual_mode=False),
      "27576ccdc359d792798ac77a5dd3ba70a4fb379114aee99baca972eb4695c3e7",
      "10536fc2f1256bf83ade556b92a456a19f4d1f8f403f6d68bef8fd689cf797cc"),
-], ids=["f32", "q16", "clip", "clip-non-residual"])
+    # a block row of 3 pixels is 3 words of 2 bytes, one of 6 pixels 3 words of 4 bytes
+    (lambda: moving_square(36, 27, 7, square=7, step=1, start_x=2),
+     CodecConfig(block_size=3, sampling_rate=0.5, seed=7),
+     "77b8bc2a147a947d3ac257bf22576d92c181898ddc743163419eaa437877dee8",
+     "d46aa5810549fc44787bff2f518f65086a9296be71559279f89de5b89e393d16"),
+    (lambda: moving_square(48, 36, 12, square=10, start_x=3),
+     CodecConfig(block_size=6, sampling_rate=0.25, seed=11, measurement_format="q16"),
+     "a3b690ab0033e90f5858356f5f930ccaccd427ce1bc90d01acc22ea5f3fe979f",
+     "722c04d90b69e2e622f53afb2b6e156db9cd51c9f9f8356facc7d3e814754583"),
+], ids=["f32", "q16", "clip", "clip-non-residual", "block-3", "block-6"])
 def test_stream_and_decoded_frames_pinned(frames, config, stream_sha, frames_sha):
     data = encode_sequence(frames(), config).to_bytes()
     assert hashlib.sha256(data).hexdigest() == stream_sha
@@ -540,6 +549,9 @@ def test_payload_is_copied_unless_it_views_its_serialization():
     mutable[_HEADER_SIZE:] = bytes(len(mutable) - _HEADER_SIZE)
     for s in parsed:
         assert s.to_bytes() == data
+    # a memoryview is read as its raw bytes, in C order, whatever its strides
+    every_other = np.repeat(np.frombuffer(data, np.uint8), 2)[::2]
+    assert Bitstream(memoryview(every_other)).to_bytes() == data
 
 
 def test_payload_is_read_only():
@@ -854,6 +866,11 @@ def _one_gop_stream():
     return Bitstream(_serialization(bytes(6), frame_count=3))
 
 
+def _stream_array():
+    """_one_gop_stream's serialization as a uint8 array."""
+    return np.frombuffer(_one_gop_stream().to_bytes(), np.uint8)
+
+
 @pytest.mark.parametrize("call, code", [
     (lambda: CodecConfig(block_size=0), "invalid-block-size"),
     (lambda: Bitstream(_serialization(width=0)), "invalid-header"),
@@ -869,10 +886,16 @@ def _one_gop_stream():
     (lambda: _one_gop_stream().trailing_frame(-1), "index-out-of-range"),
     (lambda: _one_gop_stream().trailing_frame(1), "index-out-of-range"),
     (lambda: _one_gop_stream().gop_key(0.0), "index-out-of-range"),
+    # an array is refused before its first element is compared, even when it
+    # holds a valid stream
+    (lambda: Bitstream(_stream_array()), "not-bytes"),
+    (lambda: Bitstream.from_bytes(_stream_array().astype(np.float64)), "not-bytes"),
+    (lambda: Bitstream(np.stack([_stream_array()] * 2)), "not-bytes"),
+    (lambda: Bitstream(np.repeat(_stream_array(), 2)[::2]), "not-bytes"),
 ], ids=["block-size-0", "width-0", "frame-count-0", "shorter-than-header", "solve-side-float",
         "gop-key-negative", "gop-key-past-end", "gop-measurements-negative",
         "gop-measurements-past-end", "trailing-frame-negative", "trailing-frame-past-end",
-        "gop-key-float"])
+        "gop-key-float", "array-uint8", "array-float64", "array-2d", "array-strided"])
 def test_refusal_codes(call, code):
     with pytest.raises(CodecError) as e:
         call()

@@ -358,6 +358,65 @@ def test_push_memory_scales_with_changed_blocks():
     assert np.count_nonzero(acc.partial.any(axis=1)) == 1
 
 
+class _WrittenRows(np.ndarray):
+    """Partial sums that log the rows each assignment writes."""
+
+    def __setitem__(self, index, value):
+        self.written.append(np.asarray(index).tolist())
+        super().__setitem__(index, value)
+
+
+def _held_as(pixels, layout):
+    """A ResidualFrame holding pixels in the given memory layout, without a copy."""
+    h, w = pixels.shape
+    if layout == "fortran":
+        held = np.asfortranarray(pixels)
+        held.setflags(write=False)
+    elif layout == "strided-bytes":  # every other column of a raster twice as wide
+        held = np.ndarray((h, w), np.int16, np.repeat(pixels, 2, axis=1).tobytes(), 0, (4 * w, 4))
+    elif layout == "unaligned-bytes":
+        held = np.ndarray((h, w), np.int16, b"\0" + pixels.tobytes(), 1)
+    else:
+        held = pixels.copy()
+        held.setflags(write=False)
+    residual = ResidualFrame(held)
+    assert residual.pixels is held
+    return residual
+
+
+@pytest.mark.parametrize("bs", [*range(1, 18), 32])
+def test_push_finds_exactly_the_blocks_with_a_nonzero_pixel(bs):
+    # block rows of 1 to 32 pixels: push tests words of 2, 4 or 8 bytes, 1 to 8
+    # of them per block row; nonzero pixels land anywhere in a block, with
+    # extra weight on its first and last row and column and on the columns
+    # either side of each 8-byte boundary, in rasters of any memory layout
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    matrix = gen_mixing_matrix(3, 1, bs * bs)
+    row = st.sampled_from([0, bs - 1]) | st.integers(0, bs - 1)
+    col = st.sampled_from(sorted({0, bs - 1} | {c for c in range(bs) if c % 4 in (0, 3)}))
+    col |= st.integers(0, bs - 1)
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(rows=st.integers(1, 3), cols=st.integers(1, 3), data=st.data(),
+                      layout=st.sampled_from(["c", "fortran", "strided-bytes", "unaligned-bytes"]))
+    def check(rows, cols, data, layout):
+        pixels = np.zeros((rows * bs, cols * bs), np.int16)
+        for _ in range(data.draw(st.integers(0, 4))):
+            y = data.draw(st.integers(0, rows - 1)) * bs + data.draw(row)
+            x = data.draw(st.integers(0, cols - 1)) * bs + data.draw(col)
+            pixels[y, x] = data.draw(st.sampled_from([-255, -1, 1, 255]))
+        grid = BlockGrid.for_dims(cols * bs, rows * bs, bs)
+        acc = StreamAccumulator(matrix, grid, 1)
+        acc.partial = acc.partial.view(_WrittenRows)
+        acc.partial.written = []
+        acc.push(_held_as(pixels, layout), 0)
+        expected = np.flatnonzero(np.any(pixels.reshape(rows, bs, cols, bs) != 0, axis=(1, 3)))
+        assert acc.partial.written == ([expected.tolist()] if len(expected) else [])
+
+    check()
+
+
 def test_stream_out_of_order():
     matrix = gen_mixing_matrix(4, 16, 1024)
     grid = BlockGrid.for_dims(32, 32, 16)
