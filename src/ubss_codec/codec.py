@@ -239,11 +239,11 @@ class Bitstream:
                              f"payload {len(self.payload)} bytes, expected {size}")
         for name, view in zip(("_keys", "_gop_records", "_rasters"), views(self.payload)):
             object.__setattr__(self, name, view)
-        # refuse NaN or inf in an f32 value or a q16 (min, max), or min > max; f32 values
-        # are summed in float64, which no run of finite float32 can overflow
+        # refuse NaN or inf in an f32 value or a q16 (min, max), or min > max; a NaN
+        # makes the f32 min and max NaN, an inf one of them infinite
         rec = self._gop_records
         if not self.q16:
-            ok = math.isfinite(rec.sum(dtype=np.float64))
+            ok = not rec.size or math.isfinite(rec.min()) and math.isfinite(rec.max())
         else:
             lo, hi = rec["lo"], rec["hi"]
             ok = bool((np.isfinite(lo) & np.isfinite(hi) & (lo <= hi)).all())
@@ -313,20 +313,25 @@ def _checked_index(i, count: int, what: str) -> int:
     return i
 
 
-def _pack_records(rec: np.ndarray, values: np.ndarray, q16: bool) -> None:
+def _pack_records(rec: np.ndarray, values: np.ndarray, rows: np.ndarray, q16: bool) -> None:
     """Write one GOP's records, in place, from its (block positions, m) measurements.
 
-    q16 maps each row onto 65536 levels between its min and max, both rounded
-    to float32; a constant row is all code 0.
+    Only the given rows are written: every other row of values is +0.0, whose
+    record, f32 or q16, is all zero bytes, as the zero-filled payload holds
+    already. q16 maps each row onto 65536 levels between its min and max,
+    both rounded to float32; a constant row is all code 0.
     """
     if not q16:
-        rec[...] = values
+        rec[rows] = values[rows]
         return
-    lo = values.min(axis=1).astype(np.float32).astype(np.float64)
-    hi = values.max(axis=1).astype(np.float32).astype(np.float64)
+    levels = values[rows]  # the one (rows, m) temporary: the steps below run in place
+    lo = levels.min(axis=1).astype(np.float32).astype(np.float64)
+    hi = levels.max(axis=1).astype(np.float32).astype(np.float64)
     gain = np.divide(65535.0, hi - lo, out=np.zeros_like(lo), where=hi > lo)
-    rec["lo"], rec["hi"] = lo, hi
-    rec["codes"] = np.clip(np.rint((values - lo[:, None]) * gain[:, None]), 0, 65535)
+    levels -= lo[:, None]
+    levels *= gain[:, None]
+    rec["lo"][rows], rec["hi"][rows] = lo, hi
+    rec["codes"][rows] = np.clip(np.rint(levels, out=levels), 0, 65535, out=levels)
 
 
 def encode_sequence(frames, config: CodecConfig) -> Bitstream:
@@ -366,7 +371,7 @@ def encode_sequence(frames, config: CodecConfig) -> Bitstream:
         for j, f in enumerate(gop.ubss):
             # streamed-memory contract: never hold more than the current residual
             acc.push(compute_residual(f, key), j)
-        _pack_records(records[i], acc.finish(), q16)
+        _pack_records(records[i], acc.finish(), np.array(sorted(acc.touched), np.intp), q16)
     for j, f in enumerate(trailing):
         rasters[j] = f.pixels
     # with no view left to export the buffer, getvalue() hands it over uncopied;

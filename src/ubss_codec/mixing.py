@@ -15,9 +15,10 @@ This scheme is identified by ``GENERATOR_SPLITMIX64_BOXMULLER`` in the
 bitstream header. Draw i depends on (seed, i) alone, so a generated matrix is
 a function of (seed, m, k): any row range is drawn without the rest, by the
 one primitive _draw_normals, and the entries are drawn only when first read.
-The encoder draws them, once, at the first push with a changed block, so a
-sequence with no change draws nothing; the decoder's TV solver builds its
-u-step factor from blocks of rows and never draws the whole matrix.
+Neither side draws the row-major entries. The encoder reads the matrix in
+tile order (MixingMatrix.tiles), drawn once, at the first push with a
+changed block, so a sequence with no change draws nothing; the decoder's TV
+solver builds its u-step factor from blocks of rows.
 """
 
 from __future__ import annotations
@@ -96,8 +97,12 @@ class MixingMatrix:
     appear in a bitstream. No attribute but the solver's cache can be set
     after construction, so the TV u-step factor that the solver caches on
     the matrix, which depends on the entries alone and serves every
-    penalty, cannot go stale; it is freed with the matrix.
+    penalty, cannot go stale; it is freed with the matrix. The encoder's
+    tile order (tiles()) is held beside it, locked, for every group.
     """
+
+    # fixed fields: a sixth attribute would grow an instance __dict__ on both sides
+    __slots__ = ("m", "k", "_seed", "_entries", "_solver_cache", "_tiles")
 
     def __init__(self, entries):
         entries = np.array(entries, dtype=np.float64)
@@ -107,7 +112,7 @@ class MixingMatrix:
 
     def _init(self, m, k, seed, entries):
         for name, value in (("m", m), ("k", k), ("_seed", seed), ("_entries", entries),
-                            ("_solver_cache", None)):
+                            ("_solver_cache", None), ("_tiles", None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -138,6 +143,32 @@ class MixingMatrix:
         out = draws[lo % 2:lo % 2 + hi - lo].reshape(stop - start, self.k)
         out /= math.sqrt(self.m)  # a division: multiplying by 1/sqrt(m) rounds differently
         return out
+
+    def tiles(self, n: int) -> np.ndarray:
+        """The locked entries in tile order for a composite of n tiles: an (m, n, k / n) array
+        whose [:, j] holds the columns that multiply tile j, row-major within the tile.
+
+        Tile j is the one at tile-grid cell (j mod t, j div t), t = sqrt(n), as in
+        _split_blocks. The rows are drawn by one rows(0, m) call, a copy of the
+        entries when they are held already, and permuted in place, at most one
+        generator step at a time; the row-major entries are not drawn. The
+        result is held for the next call with the same n.
+        """
+        t = _tile_root(n)
+        if self._tiles is not None and self._tiles.shape[1] == t * t:
+            return self._tiles
+        bs = math.isqrt(self.k // n)
+        if n * bs * bs != self.k:
+            raise CodecError("shape-mismatch", f"k={self.k} is not {n} square tiles")
+        drawn = np.require(self.rows(0, self.m), requirements="W")
+        # each tile row of each matrix row goes from (bs, t, bs) to (t, bs, bs) order
+        bands = drawn.reshape(-1, bs, t, bs)
+        step = max(1, _STEP_WORDS // (t * bs * bs))
+        for lo in range(0, len(bands), step):
+            band = bands[lo:lo + step]
+            band.reshape(-1, t, bs, bs)[...] = band.swapaxes(1, 2).copy()
+        object.__setattr__(self, "_tiles", _locked(drawn.reshape(self.m, t * t, bs * bs)))
+        return self._tiles
 
     @classmethod
     def identity(cls, k: int) -> "MixingMatrix":
@@ -269,18 +300,21 @@ class StreamAccumulator:
     Only the running (num_blocks, m) partial sums are held, never a frame
     group: pushing frame j adds A'_j times each of its blocks, where A'_j is
     the column sub-block of the mixing matrix for tile j of the t x t
-    composite, t = sqrt(n). An all-zero block adds nothing, so push gathers
-    and multiplies only the blocks with a nonzero pixel: its work and memory
-    are proportional to the changed blocks. It finds them on machine words
-    of the residual rather than on its int16 pixels (_changed_blocks), and it
-    reads a residual held in any memory order: the test and the gather read
-    one C-ordered array, a copy only when the pixels are in another order.
-    finish() returns the sums as they are, locked, and consumes the
+    composite, t = sqrt(n). A'_j is read as matrix.tiles(n)[:, j], a view
+    that the multiply takes without a copy. An all-zero block adds nothing,
+    so push gathers and multiplies only the blocks with a nonzero pixel: its
+    work and memory are proportional to the changed blocks, as is touched,
+    the set of grid indices of the blocks that any push changed; every other
+    row of the sums is +0.0. push finds the changed blocks on machine words
+    of the residual rather than on its int16 pixels (_changed_blocks), and
+    it reads a residual held in any memory order: the test and the gather
+    read one C-ordered array, a copy only when the pixels are in another
+    order. finish() returns the sums as they are, locked, and consumes the
     accumulator: partial is None.
     """
 
     def __init__(self, matrix: MixingMatrix, grid: BlockGrid, n: int):
-        self.t = _tile_root(n)
+        _tile_root(n)  # refuses an n that is not a perfect square
         if matrix.k != n * grid.block_size * grid.block_size:
             raise CodecError("shape-mismatch",
                              f"matrix k={matrix.k}, group needs {n * grid.block_size ** 2}")
@@ -288,6 +322,7 @@ class StreamAccumulator:
         self.grid = grid
         self.n = n
         self.partial = np.zeros((grid.num_blocks, matrix.m))
+        self.touched = set()
         self.frames_pushed = 0
 
     def push(self, residual: ResidualFrame, frame_index_in_group: int) -> None:
@@ -307,10 +342,8 @@ class StreamAccumulator:
         changed = _changed_blocks(pixels, self.grid)
         if not len(changed):
             return  # an all-zero frame adds nothing and reads no entry of the matrix
-        m, t = self.matrix.m, self.t
-        ty, tx = divmod(frame_index_in_group, t)
-        # columns of A that multiply tile (tx, ty) of the composite
-        sub = self.matrix.entries.reshape(m, t, bs, t, bs)[:, ty, :, tx, :].reshape(m, bs * bs)
+        # columns of A that multiply tile j of the composite, a view
+        sub = self.matrix.tiles(self.n)[:, frame_index_in_group]
         # block (bx, by) is [by, :, bx, :], as in _split_blocks
         rows, cols = self.grid.rows, self.grid.cols
         by, bx = np.divmod(changed, cols)
@@ -319,6 +352,7 @@ class StreamAccumulator:
                    .astype(np.float64) @ sub.T)
         product += self.partial.take(changed, axis=0)
         self.partial[changed] = product
+        self.touched.update(changed.tolist())
 
     def finish(self) -> np.ndarray:
         """The locked (num_blocks, m) sums, one row per block position in grid order; consumes."""

@@ -319,7 +319,21 @@ def _inverted_square_frames():
      CodecConfig(block_size=6, sampling_rate=0.25, seed=11, measurement_format="q16"),
      "a3b690ab0033e90f5858356f5f930ccaccd427ce1bc90d01acc22ea5f3fe979f",
      "722c04d90b69e2e622f53afb2b6e156db9cd51c9f9f8356facc7d3e814754583"),
-], ids=["f32", "q16", "clip", "clip-non-residual", "block-3", "block-6"])
+    # tile roots other than 2; k = 25 and 81 are odd, so Box-Muller pairs straddle rows
+    (lambda: moving_square(40, 30, 7, square=8, step=1, start_x=3),
+     CodecConfig(n=1, block_size=5, sampling_rate=0.5, seed=13),
+     "507dce7df813d652a41b9abc929ed5a92b549d6045d151daf2800741bbd33b07",
+     "bf4f8e05965dfd935579ba074f59599916d85b81b8e2a43de8b7a908b078bf1d"),
+    (lambda: moving_square(36, 27, 21, square=7, step=1, start_x=2),
+     CodecConfig(n=9, block_size=3, sampling_rate=0.5, seed=17),
+     "2cd9ee151376902baecfe3e066a8b36f02fb764322ee0c090077c30166731059",
+     "27e153e9d0a8ef2b30c6645a2bb6abe79c1649f60c7ef6a75d12947f21311ac1"),
+    (lambda: moving_square(32, 32, 18, square=9, step=1, start_x=4),
+     CodecConfig(n=16, block_size=4, sampling_rate=0.25, seed=19, measurement_format="q16"),
+     "0532a74f6ce03995eb7439b987131632d0ff098b0849cc584138397245492b0f",
+     "edee93cbf87bcca8a9074fd6f53f16c0ef66594609577988e3357707f95f5613"),
+], ids=["f32", "q16", "clip", "clip-non-residual", "block-3", "block-6", "n1-block-5",
+        "n9-block-3", "n16-q16"])
 def test_stream_and_decoded_frames_pinned(frames, config, stream_sha, frames_sha):
     data = encode_sequence(frames(), config).to_bytes()
     assert hashlib.sha256(data).hexdigest() == stream_sha
@@ -699,7 +713,8 @@ def test_decode_refuses_hostile_matrix_size(monkeypatch):
 def test_decode_builds_u_step_once_per_stream(monkeypatch):
     # every composite of a stream shares the matrix, so its u-step factor is
     # built on the first active composite and reused by the rest; the build
-    # reads the matrix by blocks of rows, so its entries are never drawn whole
+    # reads the matrix by blocks of rows and the encoder reads its tile order,
+    # so neither side draws the row-major entries
     builds, matrices = [], []
     gen = codec_mod.gen_mixing_matrix
 
@@ -720,7 +735,9 @@ def test_decode_builds_u_step_once_per_stream(monkeypatch):
     assert stream.num_gops == 2 and all(stream.gop_measurements(i).any() for i in (0, 1))
     decode_sequence(Bitstream.from_bytes(stream.to_bytes()))
     assert len(builds) == 1
-    assert len(matrices) == 2 and matrices[0]._entries is not None  # encoder, decoder
+    assert len(matrices) == 2  # encoder, decoder
+    assert matrices[0]._tiles is not None and matrices[0]._tiles.shape == (128, 4, 64)
+    assert matrices[0]._entries is None
     assert matrices[1]._entries is None and matrices[1]._solver_cache is not None
 
 

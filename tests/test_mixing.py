@@ -122,6 +122,46 @@ def test_matrix_shape_is_its_entries_shape():
         assert e.value.code == "shape-mismatch"
 
 
+@pytest.mark.parametrize("n, bs", [(1, 3), (1, 4), (4, 1), (4, 3), (4, 8), (9, 2), (9, 3), (16, 2)])
+@pytest.mark.parametrize("kind", ["generated", "explicit"])
+def test_tile_order_is_the_entries_by_tile(n, bs, kind):
+    # odd k at n = 1 and 9 with odd bs: a Box-Muller pair straddles a row boundary
+    t, k = math.isqrt(n), n * bs * bs
+    m = max(1, k // 3)
+    entries = gen_mixing_matrix(21, m, k).entries
+    matrix = gen_mixing_matrix(21, m, k) if kind == "generated" else MixingMatrix(entries)
+    tiles = matrix.tiles(n)
+    assert tiles.shape == (m, n, bs * bs) and not tiles.flags.writeable
+    for j in range(n):
+        ty, tx = divmod(j, t)
+        columns = entries.reshape(m, t, bs, t, bs)[:, ty, :, tx, :].reshape(m, bs * bs)
+        assert tiles[:, j].tobytes() == columns.tobytes(), j
+    assert matrix.tiles(n) is tiles
+    # a generated matrix is read in tile order without drawing the row-major entries
+    assert (matrix._entries is None) == (kind == "generated")
+
+
+def test_tile_order_follows_n():
+    # k = 64 is 4 tiles of 4 x 4 or 16 of 2 x 2: each call reads the order its n asks for
+    entries = gen_mixing_matrix(3, 8, 64).entries
+    matrix = gen_mixing_matrix(3, 8, 64)
+    for n, bs in ((4, 4), (16, 2), (4, 4)):
+        t = math.isqrt(n)
+        expected = entries.reshape(8, t, bs, t, bs).swapaxes(2, 3).reshape(8, n, bs * bs)
+        assert matrix.tiles(n).tobytes() == expected.tobytes(), n
+
+
+def test_tile_order_memory_peak():
+    # drawn once and permuted in place: beside the matrix, one generator step
+    tracemalloc.start()
+    try:
+        tiles = gen_mixing_matrix(7, 256, 1024).tiles(4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= tiles.nbytes + 2 * 8192 * 8
+
+
 # --- residuals --------------------------------------------------------------
 
 def test_residual_of_identical_frames_is_zero():
@@ -342,7 +382,7 @@ def test_push_memory_scales_with_changed_blocks():
     # block alone, never the float64 stack of all 1584 blocks
     grid = BlockGrid.for_dims(352, 288, 8)
     matrix = gen_mixing_matrix(4, 16, 4 * 64)
-    assert matrix.entries.shape == (16, 256)  # drawn before tracing
+    assert matrix.tiles(4).shape == (16, 4, 64)  # drawn before tracing
     acc = StreamAccumulator(matrix, grid, 4)
     pixels = np.zeros((288, 352), np.int16)
     pixels[96:104, 200:208] = 9
@@ -356,6 +396,27 @@ def test_push_memory_scales_with_changed_blocks():
     dense_stack = grid.num_blocks * 64 * 8
     assert peak <= dense_stack / 8
     assert np.count_nonzero(acc.partial.any(axis=1)) == 1
+
+
+def test_push_after_the_first_reads_the_matrix_in_place():
+    # the columns of tile j are a view of the tile order, so a later push
+    # allocates only its gathered blocks and their products, nothing of m x bs^2
+    m, bs = 256, 16
+    grid = BlockGrid.for_dims(176, 144, bs)
+    acc = StreamAccumulator(gen_mixing_matrix(4, m, 4 * bs * bs), grid, 4)
+    pixels = np.zeros((144, 176), np.int16)
+    pixels[40:80, 36:76] = 50  # 9 changed blocks
+    acc.push(ResidualFrame(pixels), 0)
+    residual = ResidualFrame(pixels)
+    tracemalloc.start()
+    try:
+        acc.push(residual, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m * bs * bs * 8 / 4
+    assert sorted(acc.touched) == np.flatnonzero(acc.partial.any(axis=1)).tolist()
+    assert acc.matrix._entries is None
 
 
 class _WrittenRows(np.ndarray):
@@ -501,12 +562,14 @@ def _finished_accumulator():
     (lambda: gen_mixing_matrix(1.5, 16, 256), "non-integer-field"),
     (lambda: gen_mixing_matrix(1, 4, 16).rows(3, 5), "index-out-of-range"),
     (lambda: MixingMatrix.identity(4).rows(-1, 2), "index-out-of-range"),
+    (lambda: gen_mixing_matrix(1, 4, 36).tiles(3), "n-not-perfect-square"),
+    (lambda: gen_mixing_matrix(1, 4, 32).tiles(4), "shape-mismatch"),
 ], ids=["assemble-two-sizes", "assemble-x-half", "assemble-x-float", "assemble-x-str",
         "assemble-triple", "assemble-scalar", "disassemble-n-3", "disassemble-5x5", "disassemble-4x6",
         "composite-4x6", "composite-1d", "accumulator-n-3", "accumulator-k-mismatch",
         "push-after-finish", "push-wrong-size", "disassemble-n-float", "accumulator-n-float",
         "generator-m-float", "generator-k-float", "generator-seed-float", "rows-past-m",
-        "rows-negative"])
+        "rows-negative", "tiles-n-3", "tiles-k-mismatch"])
 def test_refusal_codes(call, code):
     with pytest.raises(CodecError) as e:
         call()
