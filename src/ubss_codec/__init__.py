@@ -17,8 +17,8 @@ from .mixing import (GENERATOR_SPLITMIX64_BOXMULLER, CompositeBlock,
                      disassemble_composite, gen_mixing_matrix, mix_batch)
 from .tv import (SolverParams, SolverResult, divergence_adjoint, forward_diff,
                  shrink2, solve_tv)
-from .codec import (Bitstream, CodecConfig, RateReport, decode_sequence,
-                    encode_sequence, iter_decode, rate_report)
+from .codec import (Bitstream, CodecConfig, DecodeReport, RateReport,
+                    decode_sequence, encode_sequence, iter_decode, rate_report)
 from .synthetic import moving_square
 
 __version__ = "0.1.0"

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import sys
 import time
 
-from .codec import (MEASUREMENT_FORMATS, Bitstream, CodecConfig, decode_sequence,
-                    encode_sequence, iter_decode, rate_report)
+from .codec import (MEASUREMENT_FORMATS, Bitstream, CodecConfig, DecodeReport,
+                    decode_sequence, encode_sequence, iter_decode, rate_report)
 from .errors import CodecError
 from .frames import RAW_FORMATS, load_raw_sequence, mean_coded_psnr, save_frame_pgm
 from .synthetic import moving_square
@@ -62,15 +63,19 @@ def cmd_encode(args) -> int:
 def cmd_decode(args) -> int:
     with open(args.input, "rb") as fh:
         stream = Bitstream.from_bytes(fh.read())
+    report = DecodeReport() if args.report else None
     # each frame is written as it is decoded; decode_s counts decoding only
     decode_s, count = 0.0, 0
     t0 = time.perf_counter()
-    for frame in iter_decode(stream):
+    for frame in iter_decode(stream, report=report):
         decode_s += time.perf_counter() - t0
         save_frame_pgm(frame, f"{args.out}_{count:05d}.pgm")
         count += 1
         t0 = time.perf_counter()
     decode_s += time.perf_counter() - t0
+    if report is not None:
+        with open(args.report, "w") as fh:
+            json.dump({name: getattr(report, name).tolist() for name in DecodeReport.FIELDS}, fh)
     print(f"frames={count}")
     print(f"decode_s={decode_s:.4f}")
     print(f"decode_s_per_frame={decode_s / count:.4f}")
@@ -193,6 +198,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decode", help="decode a bitstream to PGM frames")
     p.add_argument("input", help="bitstream path")
     p.add_argument("--out", required=True, help="output prefix for <prefix>_00000.pgm ...")
+    p.add_argument("--report", metavar="FILE.json",
+                   help="write each active composite's GOP, block, outer iterations, "
+                        "stop reason and final fidelity as JSON arrays")
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("sweep", help="rate-distortion sweep, CSV on stdout")

@@ -380,7 +380,51 @@ def encode_sequence(frames, config: CodecConfig) -> Bitstream:
     return Bitstream(out.getvalue())
 
 
-def iter_decode(stream: Bitstream, solver_params: tv.SolverParams | None = None):
+class DecodeReport:
+    """What a decode did for each active composite, in decode order, as arrays.
+
+    Pass one to iter_decode or decode_sequence and the decoder appends to it
+    as each GOP is decoded; a generator stopped early leaves the GOPs decoded
+    so far. Every field is an array with one entry per active composite:
+    gop; block, its position in grid order; outer_iterations; stop_reason,
+    "tolerance" or "cap"; and final_fidelity, |A u - b| in measurement units.
+    All-zero composites are not solved, so they are not listed.
+    """
+
+    FIELDS = ("gop", "block", "outer_iterations", "stop_reason", "final_fidelity")
+
+    def __init__(self):
+        self._rows = []  # one (gop, block, outer_iterations, stop_reason, final_fidelity) each
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def _column(self, index: int, dtype) -> np.ndarray:
+        return np.array([row[index] for row in self._rows], dtype)
+
+    @property
+    def gop(self) -> np.ndarray:
+        return self._column(0, np.int64)
+
+    @property
+    def block(self) -> np.ndarray:
+        return self._column(1, np.int64)
+
+    @property
+    def outer_iterations(self) -> np.ndarray:
+        return self._column(2, np.int64)
+
+    @property
+    def stop_reason(self) -> np.ndarray:
+        return self._column(3, str)
+
+    @property
+    def final_fidelity(self) -> np.ndarray:
+        return self._column(4, np.float64)
+
+
+def iter_decode(stream: Bitstream, solver_params: tv.SolverParams | None = None,
+                report: DecodeReport | None = None):
     """Decode one GOP at a time: yield every frame in stream order.
 
     Per GOP that is the key, verbatim, then its n coded frames, recovered by TV
@@ -401,18 +445,22 @@ def iter_decode(stream: Bitstream, solver_params: tv.SolverParams | None = None)
     active composite draws none. When any composite stops on the solver's
     max_outer cap, one WARNING on the "ubss_codec" logger gives the count for
     the stream, after its last GOP; a generator stopped early logs nothing.
+    A DecodeReport passed as report gets one entry per active composite.
     """
     params = tv._params(solver_params)
     if stream.generator_id != GENERATOR_SPLITMIX64_BOXMULLER:
         raise CodecError("unknown-generator", f"generator id {stream.generator_id}")
-    return _decoded_frames(stream, params)
+    if report is not None and not isinstance(report, DecodeReport):
+        raise CodecError("not-a-decode-report",
+                         f"report must be a DecodeReport or None, not {type(report).__name__}")
+    return _decoded_frames(stream, params, report)
 
 
-def _decoded_frames(stream: Bitstream, params: tv.SolverParams):
+def _decoded_frames(stream: Bitstream, params: tv.SolverParams, report):
     matrix = gen_mixing_matrix(stream.seed, stream.m_per_block, stream.k)
     active = capped = 0
     for i in range(stream.num_gops):
-        gop, solved, stopped = _decode_gop(stream, i, matrix, params)
+        gop, solved, stopped = _decode_gop(stream, i, matrix, params, report)
         active += solved
         capped += stopped
         while gop:  # hand each frame over: the generator keeps none it has yielded
@@ -424,8 +472,11 @@ def _decoded_frames(stream: Bitstream, params: tv.SolverParams):
         yield stream.trailing_frame(j)
 
 
-def _decode_gop(stream: Bitstream, i: int, matrix, params: tv.SolverParams):
-    """([key, n coded frames], active composites, composites capped) of GOP i."""
+def _decode_gop(stream: Bitstream, i: int, matrix, params: tv.SolverParams, report):
+    """([key, n coded frames], active composites, composites capped) of GOP i.
+
+    Each solve is appended to report, unless it is None.
+    """
     side, bs, n, cols = stream.composite_side, stream.block_size, stream.gop_n, stream.grid.cols
     key = stream.gop_key(i)
     base = np.zeros_like(key.pixels) if stream.non_residual else key.pixels
@@ -437,6 +488,9 @@ def _decode_gop(stream: Bitstream, i: int, matrix, params: tv.SolverParams):
         by, bx = divmod(int(j), cols)
         result = tv.solve_tv(matrix, MeasurementVector((bx, by), rows[j]), side, params)
         capped += result.stop_reason == "cap"
+        if report is not None:
+            report._rows.append((i, int(j), result.outer_iterations, result.stop_reason,
+                                 result.final_fidelity))
         # composites do not overlap, so each frame's block still holds base's
         window = np.s_[by * bs:(by + 1) * bs, bx * bs:(bx + 1) * bs]
         blocks = np.clip(np.rint(base[window] + disassemble_composite(result.u, n)), 0, 255)
@@ -445,12 +499,13 @@ def _decode_gop(stream: Bitstream, i: int, matrix, params: tv.SolverParams):
     return [key] + [Frame(_locked(f)) for f in frames], len(solved), capped
 
 
-def decode_sequence(stream: Bitstream, solver_params: tv.SolverParams | None = None):
-    """Decode every frame into one list: list(iter_decode(stream, solver_params)).
+def decode_sequence(stream: Bitstream, solver_params: tv.SolverParams | None = None,
+                    report: DecodeReport | None = None):
+    """Decode every frame into one list: list(iter_decode(stream, solver_params, report)).
 
     The list holds the whole sequence; iter_decode holds one GOP at a time.
     """
-    return list(iter_decode(stream, solver_params))
+    return list(iter_decode(stream, solver_params, report))
 
 
 def rate_report(stream: Bitstream) -> RateReport:

@@ -1,11 +1,12 @@
 import csv
 import hashlib
 import io
+import json
 
 import numpy as np
 import pytest
 
-from ubss_codec import moving_square
+from ubss_codec import Bitstream, DecodeReport, decode_sequence, moving_square
 from ubss_codec.cli import SWEEP_COLUMNS, main
 from ubss_codec.codec import _HEADER, MAGIC, VERSION
 
@@ -98,7 +99,31 @@ def test_decode_streams_the_same_pgms(tmp_path, capsys):
     pgms = sorted(tmp_path.glob("dec_*.pgm"))
     assert [p.name for p in pgms] == [f"dec_{i:05d}.pgm" for i in range(12)]
     digest = hashlib.sha256(b"".join(p.read_bytes() for p in pgms)).hexdigest()
-    assert digest == "57c3de510df734bc0d3347530a8af023a748f37f1e610523717d6935ad833c10"
+    assert digest == "b606591dbbf1db8e3e36b25799a0d3b40d14fc0f3d10ed0141d57f074eebbde7"
+
+
+def test_decode_report_json(tmp_path, capsys):
+    # the report file holds the library's DecodeReport as JSON arrays, and
+    # asking for it changes neither the PGMs nor what decode prints
+    raw = _write_moving_gray8(tmp_path / "in.gray", count=12)
+    stream_path = tmp_path / "s.ubs"
+    assert main(["encode", str(raw), "--width", "32", "--height", "32", "--frames", "12",
+                 "--block-size", "8", "--out", str(stream_path)]) == 0
+    report_path = tmp_path / "report.json"
+    capsys.readouterr()
+    assert main(["decode", str(stream_path), "--out", str(tmp_path / "dec"),
+                 "--report", str(report_path)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split("=")[0] for line in printed] == ["frames", "decode_s", "decode_s_per_frame"]
+    digest = hashlib.sha256(b"".join(p.read_bytes()
+                                     for p in sorted(tmp_path.glob("dec_*.pgm")))).hexdigest()
+    assert digest == "b606591dbbf1db8e3e36b25799a0d3b40d14fc0f3d10ed0141d57f074eebbde7"
+    written = json.loads(report_path.read_text())
+    expected = DecodeReport()
+    decode_sequence(Bitstream(stream_path.read_bytes()), report=expected)
+    assert list(written) == list(DecodeReport.FIELDS) and len(expected) > 0
+    for name in DecodeReport.FIELDS:
+        assert written[name] == getattr(expected, name).tolist()
 
 
 def test_decode_bad_magic_message(tmp_path, capsys):

@@ -12,7 +12,7 @@ import pytest
 import ubss_codec.codec as codec_mod
 import ubss_codec.mixing as mixing_mod
 import ubss_codec.tv as tv_mod
-from ubss_codec import (Bitstream, CodecConfig, CodecError, Frame,
+from ubss_codec import (Bitstream, CodecConfig, CodecError, DecodeReport, Frame,
                         SolverParams, decode_sequence, encode_sequence,
                         iter_decode, moving_square, psnr, rate_report)
 
@@ -297,41 +297,41 @@ def _inverted_square_frames():
     (lambda: moving_square(64, 48, 12, square=16, start_x=4),
      CodecConfig(sampling_rate=0.25, seed=3),
      "1ec0b7adae1fd6f9f7c5f848a40d805645be0040e6c7b05c330a292ee1676afd",
-     "45bbbf1c03a9a2cb48d8e162878d881d1e06a6b7ee6e6f7646ec4131e5244b77"),
+     "6f94841bbf66fc9a2ffc7fabda5c994e6436a387a5192eb34847f619bf71923c"),
     (lambda: moving_square(32, 32, 7, square=8, start_x=2),
      CodecConfig(block_size=8, sampling_rate=0.5, seed=5, measurement_format="q16"),
      "4822c5d4abd1bea821ab6499ea98986f974732a72fc1c6b19e450d1227fb9809",
-     "ae080a4d6c73eb7f278e329564ed6864eb9f60356b4b0a2ea041579141e64e2d"),
+     "4119ab64124cbb059d62b3dd646bca22bfabc0d9dbdbf2b9ca62576df7f21b3a"),
     (_inverted_square_frames,
      CodecConfig(block_size=8, sampling_rate=0.15, seed=9),
      "23379a6c22d80c9111238898c04f489070c9632b7dad6f4491428df1668623eb",
-     "d3d72487737b28703928f62f074b22b247146bf637f5ba0718d22f3a1ac05739"),
+     "30be8b68445ffe7b6262d9b3fe023a8fa0d3b279761520a35fad1416db9c8e3e"),
     (_inverted_square_frames,
      CodecConfig(block_size=8, sampling_rate=0.15, seed=9, residual_mode=False),
      "27576ccdc359d792798ac77a5dd3ba70a4fb379114aee99baca972eb4695c3e7",
-     "10536fc2f1256bf83ade556b92a456a19f4d1f8f403f6d68bef8fd689cf797cc"),
+     "6119538d0b4ca645613129706e7fbc92fb75ef76f815d17ff76ef915c80a8ca4"),
     # a block row of 3 pixels is 3 words of 2 bytes, one of 6 pixels 3 words of 4 bytes
     (lambda: moving_square(36, 27, 7, square=7, step=1, start_x=2),
      CodecConfig(block_size=3, sampling_rate=0.5, seed=7),
      "77b8bc2a147a947d3ac257bf22576d92c181898ddc743163419eaa437877dee8",
-     "d46aa5810549fc44787bff2f518f65086a9296be71559279f89de5b89e393d16"),
+     "5d9ff67d601bda3e6789c024a517b940951063572efdd3550a710b2b403f48d5"),
     (lambda: moving_square(48, 36, 12, square=10, start_x=3),
      CodecConfig(block_size=6, sampling_rate=0.25, seed=11, measurement_format="q16"),
      "a3b690ab0033e90f5858356f5f930ccaccd427ce1bc90d01acc22ea5f3fe979f",
-     "722c04d90b69e2e622f53afb2b6e156db9cd51c9f9f8356facc7d3e814754583"),
+     "3c7a3765edb197ec5cfd538845127213cf97995f811a991bb5f5dee40c6fa774"),
     # tile roots other than 2; k = 25 and 81 are odd, so Box-Muller pairs straddle rows
     (lambda: moving_square(40, 30, 7, square=8, step=1, start_x=3),
      CodecConfig(n=1, block_size=5, sampling_rate=0.5, seed=13),
      "507dce7df813d652a41b9abc929ed5a92b549d6045d151daf2800741bbd33b07",
-     "bf4f8e05965dfd935579ba074f59599916d85b81b8e2a43de8b7a908b078bf1d"),
+     "822bbb6a301e1abec289ca1aba32106a3ac5cdae06e84de8e64f51ce6346493b"),
     (lambda: moving_square(36, 27, 21, square=7, step=1, start_x=2),
      CodecConfig(n=9, block_size=3, sampling_rate=0.5, seed=17),
      "2cd9ee151376902baecfe3e066a8b36f02fb764322ee0c090077c30166731059",
-     "27e153e9d0a8ef2b30c6645a2bb6abe79c1649f60c7ef6a75d12947f21311ac1"),
+     "9c36f635d063b4876a29b8f0be41d23e61333c80db090adb8b41f029fad9a86f"),
     (lambda: moving_square(32, 32, 18, square=9, step=1, start_x=4),
      CodecConfig(n=16, block_size=4, sampling_rate=0.25, seed=19, measurement_format="q16"),
      "0532a74f6ce03995eb7439b987131632d0ff098b0849cc584138397245492b0f",
-     "edee93cbf87bcca8a9074fd6f53f16c0ef66594609577988e3357707f95f5613"),
+     "622e0e3e6d2636d35f86573c731d85d98f6aa6f6614e7a20befdb798af2aa5be"),
 ], ids=["f32", "q16", "clip", "clip-non-residual", "block-3", "block-6", "n1-block-5",
         "n9-block-3", "n16-q16"])
 def test_stream_and_decoded_frames_pinned(frames, config, stream_sha, frames_sha):
@@ -447,6 +447,61 @@ def test_iter_decode_checks_at_the_call_and_logs_only_at_the_end(caplog):
     with caplog.at_level(logging.WARNING, logger="ubss_codec"):
         assert len(list(iter_decode(stream, SolverParams(max_outer=1)))) == stream.frame_count
     assert len(caplog.records) == 1
+
+
+def test_decode_report_lists_each_active_composite():
+    stream = encode_sequence(moving_square(32, 32, 12, square=12, start_x=2),
+                             CodecConfig(block_size=8, sampling_rate=0.25, seed=3))
+    active = [(g, j) for g in range(stream.num_gops)
+              for j in np.flatnonzero(stream.gop_measurements(g).any(axis=1))]
+    assert len(active) > stream.num_gops
+    report = DecodeReport()
+    decoded = decode_sequence(stream, report=report)
+    assert [f.pixels.tobytes() for f in decoded] == \
+        [f.pixels.tobytes() for f in decode_sequence(stream)]
+    assert len(report) == len(active)
+    assert list(zip(report.gop.tolist(), report.block.tolist())) == active
+    assert np.all(report.outer_iterations >= 1)
+    assert set(report.stop_reason) <= {"tolerance", "cap"}
+    assert np.all(np.isfinite(report.final_fidelity)) and np.all(report.final_fidelity >= 0)
+    # the report takes each SolverResult as it is
+    capped = DecodeReport()
+    decode_sequence(stream, SolverParams(max_outer=1), capped)
+    assert capped.outer_iterations.tolist() == [1] * len(active)
+    assert capped.stop_reason.tolist() == ["cap"] * len(active)
+
+
+def test_decode_report_of_a_stopped_generator_holds_the_gops_decoded():
+    stream = encode_sequence(moving_square(32, 32, 12, square=12, start_x=2),
+                             CodecConfig(block_size=8, sampling_rate=0.25, seed=3))
+    report = DecodeReport()
+    decoded = iter_decode(stream, report=report)
+    assert len(report) == 0  # nothing runs before the first frame is asked for
+    next(decoded)
+    decoded.close()
+    assert set(report.gop.tolist()) == {0}
+    empty = DecodeReport()
+    assert [len(getattr(empty, name)) for name in DecodeReport.FIELDS] == [0] * 5
+
+
+def test_decode_refuses_a_report_of_another_type():
+    stream = encode_sequence(_static_frames(), CodecConfig(block_size=16))
+    for bad in ([], {}, "report"):
+        with pytest.raises(CodecError) as e:
+            iter_decode(stream, report=bad)
+        assert e.value.code == "not-a-decode-report"
+
+
+def test_block_4_acceptance_stream_stops_on_the_tolerance():
+    # acceptance criterion 3's block-4 stream: over-relaxation brings every
+    # composite in under the cap (4 capped and 20,135 outer iterations with
+    # alpha = 1; none and 13,058 with alpha = 1.8)
+    stream = encode_sequence(moving_square(176, 144, 10),
+                             CodecConfig(sampling_rate=0.25, block_size=4, seed=1))
+    report = DecodeReport()
+    decode_sequence(stream, report=report)
+    assert len(report) and not np.any(report.stop_reason == "cap")
+    assert report.outer_iterations.sum() < 16_000
 
 
 _HEADER_SIZE = codec_mod._HEADER.size
