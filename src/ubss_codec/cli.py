@@ -82,12 +82,12 @@ def cmd_decode(args) -> int:
     return 0
 
 
-def _run_point(frames, config):
+def _run_point(frames, config, report=None):
     t0 = time.perf_counter()
     stream = encode_sequence(frames, config)
     encode_s = time.perf_counter() - t0
     t0 = time.perf_counter()
-    decoded = decode_sequence(stream)
+    decoded = decode_sequence(stream, report=report)
     decode_s = time.perf_counter() - t0
     return stream, mean_coded_psnr(frames, decoded, config.n), encode_s, decode_s
 
@@ -133,7 +133,8 @@ def cmd_blockstudy(args) -> int:
 
 def cmd_timing(args) -> int:
     frames = _load_input(args)
-    _, mean_psnr, encode_s, decode_s = _run_point(frames, _config(args))
+    report = DecodeReport()
+    _, mean_psnr, encode_s, decode_s = _run_point(frames, _config(args), report)
     count = len(frames)
     print(f"frames={count}")
     print(f"psnr_db={mean_psnr:.4f}")
@@ -141,6 +142,9 @@ def cmd_timing(args) -> int:
     print(f"encode_s_per_frame={encode_s / count:.6f}")
     print(f"decode_s={decode_s:.4f}")
     print(f"decode_s_per_frame={decode_s / count:.6f}")
+    print(f"active_composites={len(report)}")
+    print(f"capped_composites={int((report.stop_reason == 'cap').sum())}")
+    print(f"outer_iterations={int(report.outer_iterations.sum())}")
     return 0
 
 
@@ -219,7 +223,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated block sizes")
     p.set_defaults(func=cmd_blockstudy)
 
-    p = sub.add_parser("timing", help="encode/decode wall-clock report")
+    p = sub.add_parser("timing", help="encode/decode wall-clock report, with the decoder's "
+                                      "active and capped composites and outer iterations")
     _add_input_args(p)
     _add_config_args(p)
     p.set_defaults(func=cmd_timing)

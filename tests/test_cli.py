@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from ubss_codec import Bitstream, DecodeReport, decode_sequence, moving_square
+from ubss_codec import (Bitstream, CodecConfig, DecodeReport, decode_sequence, encode_sequence,
+                        moving_square)
 from ubss_codec.cli import SWEEP_COLUMNS, main
 from ubss_codec.codec import _HEADER, MAGIC, VERSION
 
@@ -99,7 +100,7 @@ def test_decode_streams_the_same_pgms(tmp_path, capsys):
     pgms = sorted(tmp_path.glob("dec_*.pgm"))
     assert [p.name for p in pgms] == [f"dec_{i:05d}.pgm" for i in range(12)]
     digest = hashlib.sha256(b"".join(p.read_bytes() for p in pgms)).hexdigest()
-    assert digest == "b606591dbbf1db8e3e36b25799a0d3b40d14fc0f3d10ed0141d57f074eebbde7"
+    assert digest == "20be36d2f3e60220138b7f0402aeebc79f8bf6cd7683e84d4050f3d365e58ecc"
 
 
 def test_decode_report_json(tmp_path, capsys):
@@ -117,7 +118,7 @@ def test_decode_report_json(tmp_path, capsys):
     assert [line.split("=")[0] for line in printed] == ["frames", "decode_s", "decode_s_per_frame"]
     digest = hashlib.sha256(b"".join(p.read_bytes()
                                      for p in sorted(tmp_path.glob("dec_*.pgm")))).hexdigest()
-    assert digest == "b606591dbbf1db8e3e36b25799a0d3b40d14fc0f3d10ed0141d57f074eebbde7"
+    assert digest == "20be36d2f3e60220138b7f0402aeebc79f8bf6cd7683e84d4050f3d365e58ecc"
     written = json.loads(report_path.read_text())
     expected = DecodeReport()
     decode_sequence(Bitstream(stream_path.read_bytes()), report=expected)
@@ -224,6 +225,25 @@ def test_timing_report_format(tmp_path, capsys):
     out = capsys.readouterr().out
     for key in ("encode_s=", "encode_s_per_frame=", "decode_s=", "decode_s_per_frame="):
         assert key in out
+
+
+def test_timing_prints_the_decode_reports_counts(tmp_path, capsys):
+    # after decode_s_per_frame, timing prints the counts of the DecodeReport
+    # its decode filled: those of a library decode of the same stream
+    raw = _write_moving_gray8(tmp_path / "in.gray", count=12)
+    rc = main(["timing", str(raw), "--width", "32", "--height", "32",
+               "--frames", "12", "--block-size", "8"])
+    assert rc == 0
+    printed = dict(line.split("=") for line in capsys.readouterr().out.splitlines())
+    assert list(printed)[-4:] == ["decode_s_per_frame", "active_composites",
+                                  "capped_composites", "outer_iterations"]
+    expected = DecodeReport()
+    frames = moving_square(32, 32, 12, square=12, start_x=2)
+    decode_sequence(encode_sequence(frames, CodecConfig(block_size=8)), report=expected)
+    assert len(expected) > 0
+    assert int(printed["active_composites"]) == len(expected)
+    assert int(printed["capped_composites"]) == np.count_nonzero(expected.stop_reason == "cap")
+    assert int(printed["outer_iterations"]) == expected.outer_iterations.sum()
 
 
 def test_builtin_synthetic_input(tmp_path, capsys):
